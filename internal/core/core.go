@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"priview/internal/attrset"
@@ -214,30 +213,21 @@ func BuildSynopsis(data *dataset.Dataset, cfg Config, src noise.Source) *Synopsi
 			panic(fmt.Sprintf("core: unknown noise kind %d", int(cfg.Noise)))
 		}
 	}
-	if stream, ok := src.(*noise.Stream); ok && runtime.GOMAXPROCS(0) > 1 && w > 1 {
-		// Views are independent scans; with a derivable stream each view
-		// gets its own deterministic noise sub-stream, so the result is
-		// reproducible regardless of scheduling.
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, block := range cfg.Design.Blocks {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, block []int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				t := data.Marginal(block)
-				perturb(t, stream.DeriveIndexed("view", i))
-				views[i] = t
-			}(i, block)
-		}
-		wg.Wait()
-	} else {
-		for i, block := range cfg.Design.Blocks {
-			t := data.Marginal(block)
-			perturb(t, src)
-			views[i] = t
-		}
+	// Counting is the expensive part and each view is an independent
+	// scan, so the views are counted in parallel. Noise is then drawn
+	// from src in view order, so a seeded source gives the same release
+	// at any core count.
+	var wg sync.WaitGroup
+	for i, block := range cfg.Design.Blocks {
+		wg.Add(1)
+		go func(i int, block []int) {
+			defer wg.Done()
+			views[i] = data.Marginal(block)
+		}(i, block)
+	}
+	wg.Wait()
+	for _, t := range views {
+		perturb(t, src)
 	}
 	s := &Synopsis{cfg: cfg, rawViews: cloneViews(views), views: views}
 	s.postprocess()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"priview/internal/core"
@@ -129,6 +130,28 @@ func TestGoldenV1Compat(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
 		t.Fatalf("v1 serialization changed: rebuilt %d bytes != golden %d bytes", buf.Len(), len(golden))
+	}
+}
+
+// TestGoldenCoreCountIndependent builds the golden release at several
+// core counts and requires identical bytes: a seed must name one
+// release on any machine, however many cores it counts the views on.
+func TestGoldenCoreCountIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		if err := Write(&buf, buildSyn(42)); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("GOMAXPROCS=%d release differs from GOMAXPROCS=1 (%d vs %d bytes)", procs, buf.Len(), len(want))
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package reconstruct
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"priview/internal/marginal"
@@ -16,26 +15,11 @@ import (
 // dual; this solver updates all multipliers simultaneously with an
 // adaptive step. It exists as a cross-check and ablation target for the
 // IPF solver (the two must agree on consistent inputs) and as the
-// natural extension point for stochastic/accelerated variants.
-func MaxEntDual(attrs []int, total float64, cons []*marginal.Table, opt Options) *marginal.Table {
-	t, err := MaxEntDualContext(context.Background(), attrs, total, cons, opt)
-	if err != nil {
-		// Unreachable: context.Background is never canceled.
-		panic(fmt.Sprintf("reconstruct: %v", err))
-	}
-	return t
-}
-
-// MaxEntDualContext is MaxEntDual with cooperative cancellation: every
+// natural extension point for stochastic/accelerated variants. Every
 // few dual-ascent steps it polls ctx and returns ErrCanceled or
-// ErrDeadline instead of running out its iteration budget. It is the
-// one-shot form of Prepared.MaxEntDual.
-func MaxEntDualContext(ctx context.Context, attrs []int, total float64, cons []*marginal.Table, opt Options) (*marginal.Table, error) {
-	return Prepare(attrs, total, cons).MaxEntDual(ctx, opt)
-}
-
-// MaxEntDual is the prepared form of MaxEntDualContext. Unlike MaxEnt
-// and LeastSquares it has no parallel sweep: its partition-function sum
+// ErrDeadline instead of running out its iteration budget.
+//
+// Unlike MaxEnt and LeastSquares it has no parallel sweep: its partition-function sum
 // is a single order-sensitive reduction over the full table, and the
 // solver exists as an ablation cross-check rather than a serving path —
 // batch callers still get solve-level parallelism across requests. The

@@ -8,112 +8,118 @@
 //	priview-serve -store /var/lib/priview/snapshots -addr :8080
 //	priview-serve -registry-root /var/lib/priview/releases -addr :8080
 //
-// Single-tenant endpoints (-synopsis / -store):
+// Every mode serves a release registry through one HTTP front. With
+// -registry-root every subdirectory of the root is a named release (its
+// own snapshot store). -synopsis and -store serve a registry holding
+// exactly one release, named "default", which the unprefixed routes
+// alias. Endpoints, in every mode:
 //
-//	GET /healthz                          liveness probe (503 while draining)
-//	GET /v1/info                          release metadata
-//	GET /v1/marginal?attrs=1,5,9          reconstruct a marginal
-//	GET /v1/marginal?attrs=1,5&method=CLN alternative estimator
-//	GET /v1/stats                         query-cache counters
-//	GET /metrics                          Prometheus text exposition (all subsystems)
+//	GET  /healthz                          liveness probe (503 while draining)
+//	GET  /readyz                           readiness (503 until the first scan, and while draining)
+//	GET  /v1/releases                      release names, default, admission counters
+//	GET  /v1/{release}/info                release metadata
+//	GET  /v1/{release}/marginal?attrs=1,5  reconstruct a marginal (&method=CLN etc.)
+//	POST /v1/{release}/marginals           batch of marginal queries
+//	GET  /v1/{release}/stats               per-release breaker, load and cache counters
+//	GET  /v1/info|marginal|stats           alias for the default release
+//	POST /v1/marginals                     alias for the default release
+//	GET  /metrics                          Prometheus text exposition (all subsystems)
 //
-// Multi-tenant mode (-registry-root): every subdirectory of the root
-// is a named release (its own snapshot store), served on
+// The default release is -default-release in registry mode and
+// "default" in the single modes. Its /v1/stats body is the release's
+// stats object: "cache" says whether it keeps a query cache, and the
+// counters sit under "cache_stats".
 //
-//	GET /readyz                           readiness (503 until the first scan)
-//	GET /v1/releases                      registered release names
-//	GET /v1/{release}/info|marginal|stats per-release routes
-//	GET /v1/info|marginal|stats           alias for -default-release
-//
-// Releases load lazily on first query and are failure-isolated from
-// each other: a release whose loads keep failing trips a per-release
-// circuit breaker (-breaker-failures / -breaker-cooldown) and
-// fast-fails with 503 + Retry-After without occupying shared load
-// slots; each release sheds its own excess concurrency
-// (-tenant-inflight, 429) and draws cache memory from one global
-// -cache-bytes budget; at most -max-loaded synopses stay resident
-// (LRU-evicted past that, re-warmed from their hot cache keys on
-// return). SIGHUP — and every -reconcile-interval — rescans the root:
-// new directories serve, removed ones 404, releases with a newer
-// snapshot hot-reload through keep-last-good.
+// Releases load lazily on first query — in the single modes the one
+// release loads at startup, and a missing or corrupt -synopsis/-store
+// exits 1 before listening — and are failure-isolated from each other:
+// a release whose loads keep failing trips a per-release circuit
+// breaker (-breaker-failures / -breaker-cooldown) and fast-fails with
+// 503 + Retry-After without occupying shared load slots; each release
+// sheds its own excess concurrency (-tenant-inflight, 429) and draws
+// cache memory from one global -cache-bytes budget; at most -max-loaded
+// synopses stay resident (LRU-evicted past that, re-warmed from their
+// hot cache keys on return). SIGHUP — and every -reconcile-interval —
+// rescans: in registry mode new directories serve, removed ones 404;
+// in every mode a release whose source changed (a newer snapshot, or a
+// rewritten -synopsis file) hot-reloads through keep-last-good, and a
+// release whose source did not change keeps its cache.
 //
 // Query cache: because a synopsis is immutable, repeated (attrs,
-// method) queries are memoized (-cache-entries / -cache-bytes bound
-// the cache, per release in registry mode; set both ≤ 0 to disable).
+// method) queries are memoized: -cache-entries bounds each release's
+// cache (≤ 0 disables caching) and -cache-bytes all of them together
+// (≤ 0 lifts the byte bound).
 // -warm k precomputes every ≤k-way marginal in the background after
 // each load, so the first real queries hit the cache.
 //
 // Durability: every synopsis is checksum-verified and audited against
-// the release invariants before it serves a single query. In store and
-// registry modes the newest verifiable snapshot is served; corrupt
+// the release invariants before it serves a single query. From a
+// snapshot store the newest verifiable snapshot is served; corrupt
 // snapshots are quarantined to *.corrupt and loading falls back to an
-// older good one. SIGHUP hot-reloads without dropping queries — if a
-// reload fails, the last good synopsis keeps serving.
+// older good one. If a reload fails, the last good synopsis keeps
+// serving.
 //
 // Failure model: -query-timeout bounds each reconstruction (504 on
-// expiry), -max-inflight sheds excess concurrent queries globally
-// (429 + Retry-After), and SIGINT/SIGTERM drains gracefully —
-// /healthz flips to 503 so load balancers stop routing, in-flight
-// queries run to completion (up to -drain-timeout), then the listener
-// closes.
+// expiry); adaptive admission (-admission-target-delay, which must be
+// > 0) queues marginal queries up to -max-inflight concurrent and
+// sheds the excess with 429 + Retry-After; and SIGINT/SIGTERM drains
+// gracefully — /healthz flips to 503 so load balancers stop routing,
+// in-flight queries run to completion (up to -drain-timeout), then the
+// listener closes.
 package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"priview/internal/admission"
-	"priview/internal/audit"
-	"priview/internal/core"
-	"priview/internal/qcache"
 	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
 	"priview/internal/telemetry"
 )
 
-// drainer is the handler-side drain control both server flavors
-// (singleton and multi-tenant) expose.
-type drainer interface {
-	http.Handler
-	SetDraining(bool)
-}
+// singleRelease names the one release of the -synopsis and -store
+// modes; the unprefixed routes alias it.
+const singleRelease = "default"
 
 func main() {
-	synPath := flag.String("synopsis", "", "synopsis file from `priview build` (v1 or v2 snapshot)")
-	storeDir := flag.String("store", "", "snapshot store directory (serves the newest verifiable snapshot)")
+	synPath := flag.String("synopsis", "", "synopsis file from `priview build` (v1 or v2 snapshot), served as the one release \"default\"")
+	storeDir := flag.String("store", "", "snapshot store directory, served as the one release \"default\" (the newest verifiable snapshot)")
 	registryRoot := flag.String("registry-root", "", "multi-tenant registry root: each subdirectory is a release served on /v1/{release}/…")
 	defaultRelease := flag.String("default-release", "", "release the unprefixed /v1/… routes alias in registry mode (empty: named routes only)")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxK := flag.Int("max-k", 12, "largest marginal size a request may ask for")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request reconstruction deadline (0 disables; expiry returns 504)")
-	maxInflight := flag.Int("max-inflight", 64, "concurrent marginal queries before shedding with 429 (0 disables)")
+	maxInflight := flag.Int("max-inflight", 64, "adaptive admission: concurrency ceiling and queue bound for marginal queries (≤0 keeps the controller defaults)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries before closing connections")
-	cacheEntries := flag.Int("cache-entries", 4096, "query-cache entry bound, per release in registry mode (≤0 together with -cache-bytes ≤0 disables the cache)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "query-cache approximate byte bound — the global budget shared by all releases in registry mode (≤0 together with -cache-entries ≤0 disables the cache)")
+	cacheEntries := flag.Int("cache-entries", 4096, "query-cache entry bound per release (≤0 disables the cache)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "query-cache approximate byte budget shared by all releases (≤0 lifts the byte bound)")
 	warm := flag.Int("warm", 0, "precompute all marginals of up to this many attributes into the cache after each load (0 disables)")
-	maxLoaded := flag.Int("max-loaded", 8, "registry mode: synopses resident in memory at once, LRU-evicted past this (<0 disables eviction)")
-	tenantInflight := flag.Int("tenant-inflight", 32, "registry mode: per-release concurrent queries before that release sheds with 429 (<0 disables)")
+	maxLoaded := flag.Int("max-loaded", 8, "registry mode: synopses resident in memory at once, LRU-evicted past this (≤0 disables eviction)")
+	tenantInflight := flag.Int("tenant-inflight", 32, "registry mode: per-release concurrent queries before that release sheds with 429 (≤0 disables)")
 	breakerFailures := flag.Int("breaker-failures", 3, "registry mode: consecutive load failures that trip a release's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "registry mode: how long a tripped breaker fast-fails before admitting a probe")
-	reconcileInterval := flag.Duration("reconcile-interval", time.Minute, "registry mode: background rescan period (0 disables; SIGHUP always rescans)")
-	admissionTarget := flag.Duration("admission-target-delay", 25*time.Millisecond, "adaptive admission: CoDel target queue delay; queries queue up to this sojourn before shedding starts (0 reverts to the instant-429 -max-inflight semaphore)")
+	reconcileInterval := flag.Duration("reconcile-interval", time.Minute, "background rescan and hot-reload period (0 disables; SIGHUP always rescans)")
+	admissionTarget := flag.Duration("admission-target-delay", 25*time.Millisecond, "adaptive admission: CoDel target queue delay; queries queue up to this sojourn before shedding starts (must be > 0)")
 	tenantRPS := flag.Float64("tenant-rps", 0, "registry mode: per-release token-bucket rate limit in requests/second, scaled by -tenant-weights (0 disables)")
 	tenantWeights := flag.String("tenant-weights", "", `registry mode: comma-separated name=weight fairness overrides (e.g. "gold=4,best-effort=0.5"); weight scales a release's rate limit and inflight carve`)
-	brownout := flag.Duration("brownout", 0, "serve cache hits only to non-priority traffic after this long of sustained overload (0 disables; requires adaptive admission)")
+	brownout := flag.Duration("brownout", 0, "serve cache hits only to non-priority traffic after this long of sustained overload (0 disables)")
 	batchMax := flag.Int("batch-max", 256, "largest query count one POST /v1/marginals batch may carry")
 	batchWorkers := flag.Int("batch-workers", 0, "solver goroutines one batch may fan over (0 = GOMAXPROCS)")
 	slowQuery := flag.Duration("slow-query", 0, "log a structured per-stage breakdown for any marginal request slower than this (0 disables)")
-	statsLogInterval := flag.Duration("stats-log-interval", time.Minute, "period of the cache/admission/registry stats log lines (0 disables; /metrics is unaffected)")
+	statsLogInterval := flag.Duration("stats-log-interval", time.Minute, "period of the admission/registry stats log lines (0 disables; /metrics is unaffected)")
 	flag.Parse()
 	modes := 0
 	for _, set := range []bool{*synPath != "", *storeDir != "", *registryRoot != ""} {
@@ -125,6 +131,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "priview-serve: exactly one of -synopsis, -store or -registry-root is required")
 		os.Exit(2)
 	}
+	if *admissionTarget <= 0 {
+		fmt.Fprintln(os.Stderr, "priview-serve: -admission-target-delay must be > 0")
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -133,98 +143,67 @@ func main() {
 	// HTTP layer, admission control, every release's cache and warm
 	// pass, and the solver all register their families here.
 	tel := telemetry.NewRegistry()
+	// Adaptive admission: queries queue briefly, CoDel sheds on
+	// sustained sojourn, and an AIMD limit tracks the latency gradient
+	// below the -max-inflight ceiling.
+	cfg := &admission.Config{TargetDelay: *admissionTarget}
+	if *maxInflight > 0 {
+		cfg.MaxLimit = *maxInflight
+		cfg.MaxQueue = *maxInflight
+		cfg.InitialLimit = min(16, *maxInflight)
+	}
 	opt := server.Options{
 		MaxK:         *maxK,
 		QueryTimeout: *queryTimeout,
-		MaxInflight:  *maxInflight,
 		MaxBatch:     *batchMax,
 		BatchWorkers: *batchWorkers,
+		Admission:    cfg,
 		Telemetry:    tel,
 		SlowQuery:    *slowQuery,
 	}
-	if *admissionTarget > 0 {
-		// Adaptive admission replaces the instant-429 semaphore: queries
-		// queue briefly, CoDel sheds on sustained sojourn, and an AIMD
-		// limit tracks the latency gradient. -max-inflight becomes the
-		// concurrency ceiling rather than a hard gate.
-		cfg := &admission.Config{TargetDelay: *admissionTarget}
-		if *maxInflight > 0 {
-			cfg.MaxLimit = *maxInflight
-			cfg.MaxQueue = *maxInflight
-			cfg.InitialLimit = 16
-			if *maxInflight < 16 {
-				cfg.InitialLimit = *maxInflight
-			}
-		}
-		opt.Admission = cfg
-		if *brownout > 0 {
-			opt.Brownout = &admission.BrownoutConfig{Enter: *brownout}
-		}
-	} else if *brownout > 0 {
-		log.Fatalf("priview-serve: -brownout requires adaptive admission (-admission-target-delay > 0)")
+	if *brownout > 0 {
+		opt.Brownout = &admission.BrownoutConfig{Enter: *brownout}
 	}
-	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		log.Fatalf("priview-serve: %v", err)
+	regOpt := registry.Options{
+		CacheEntries: orDisabled(*cacheEntries),
+		CacheBytes:   orDisabled64(*cacheBytes),
+		WarmK:        *warm,
+		Metrics:      server.NewMetrics(tel),
 	}
-	var handler drainer
-	var onHUP, onTick func()
+	var reg *registry.Registry
+	def := singleRelease
 	if *registryRoot != "" {
-		reg, err := registry.New(*registryRoot, registry.Options{
-			MaxLoaded:        orDisabled(*maxLoaded),
-			CacheEntries:     orDisabled(*cacheEntries),
-			CacheBytes:       orDisabled64(*cacheBytes),
-			MaxInflight:      orDisabled(*tenantInflight),
-			BreakerThreshold: *breakerFailures,
-			BreakerCooldown:  *breakerCooldown,
-			WarmK:            *warm,
-			TenantRPS:        *tenantRPS,
-			Weights:          weights,
-			Metrics:          server.NewMetrics(tel),
-		})
+		weights, err := parseWeights(*tenantWeights)
 		if err != nil {
 			log.Fatalf("priview-serve: %v", err)
 		}
-		defer reg.Close()
+		regOpt.MaxLoaded = orDisabled(*maxLoaded)
+		regOpt.MaxInflight = orDisabled(*tenantInflight)
+		regOpt.BreakerThreshold = *breakerFailures
+		regOpt.BreakerCooldown = *breakerCooldown
+		regOpt.TenantRPS = *tenantRPS
+		regOpt.Weights = weights
+		if reg, err = registry.New(*registryRoot, regOpt); err != nil {
+			log.Fatalf("priview-serve: %v", err)
+		}
 		if err := reg.Reconcile(ctx); err != nil {
 			log.Fatalf("priview-serve: initial registry scan: %v", err)
 		}
-		if *reconcileInterval > 0 {
-			go reg.Run(ctx, *reconcileInterval)
-		}
-		mt := server.NewMulti(reg, *defaultRelease, opt)
-		handler = mt
-		onHUP = func() {
-			if err := reg.Reconcile(ctx); err != nil {
-				log.Printf("priview-serve: registry rescan failed: %v", err)
-			}
-		}
-		onTick = func() { logRegistryStats(reg); logAdmissionStats(mt) }
+		def = *defaultRelease
 		log.Printf("serving registry %s (%d releases, default %q) on %s",
-			*registryRoot, len(reg.Releases()), *defaultRelease, *addr)
+			*registryRoot, len(reg.Releases()), def, *addr)
 	} else {
-		src := &source{path: *synPath, dir: *storeDir}
-		syn, from, err := src.load()
-		if err != nil {
+		var err error
+		if reg, err = openSingle(ctx, *synPath, *storeDir, regOpt); err != nil {
 			log.Fatalf("priview-serve: %v", err)
 		}
-		cc := cacheConfig{entries: *cacheEntries, bytes: *cacheBytes, warmK: *warm, metrics: server.NewMetrics(tel)}
-		swap := server.NewSwappable(cc.wrap(syn))
-		sv := server.NewWithOptions(swap, opt)
-		handler = sv
-		if dg := syn.Design(); dg != nil {
-			log.Printf("serving synopsis %s (ε=%g, from %s) on %s", dg.Name(), syn.Epsilon(), from, *addr)
-		} else {
-			log.Printf("serving synopsis (ε=%g, from %s) on %s", syn.Epsilon(), from, *addr)
-		}
-		cc.warmAsync(ctx, swap.Current())
-		onHUP = func() {
-			if err := reload(ctx, src, swap, cc); err != nil {
-				log.Printf("priview-serve: reload failed, keeping last good synopsis: %v", err)
-			}
-		}
-		onTick = func() { logCacheStats(swap); logAdmissionStats(sv) }
+		log.Printf("serving synopsis from %s on %s", reg.Stats()[0].Snapshot, *addr)
 	}
+	defer reg.Close()
+	if *reconcileInterval > 0 {
+		go reg.Run(ctx, *reconcileInterval)
+	}
+	handler := server.NewMulti(reg, def, opt)
 
 	srv := &http.Server{
 		Addr:              *addr,
@@ -250,9 +229,12 @@ func main() {
 			// Listener failed before any signal (e.g. port in use).
 			log.Fatalf("priview-serve: %v", err)
 		case <-hup:
-			onHUP()
+			if err := reg.Reconcile(ctx); err != nil {
+				log.Printf("priview-serve: rescan failed: %v", err)
+			}
 		case <-statsC:
-			onTick()
+			logRegistryStats(reg)
+			logAdmissionStats(handler)
 		case <-ctx.Done():
 			stop() // a second signal kills immediately via the default handler
 			log.Printf("signal received, draining for up to %v", *drainTimeout)
@@ -284,104 +266,59 @@ func orDisabled64(v int64) int64 {
 	return v
 }
 
-// source is where the served synopsis comes from: a single file or a
-// snapshot store directory. Every load is checksum-verified (v2) and
-// audited against the release invariants before it is served.
-type source struct {
-	path string // single-file mode
-	dir  string // snapshot-store mode
-}
-
-// load returns a verified synopsis and a description of where it came
-// from.
-func (s *source) load() (*core.Synopsis, string, error) {
-	if s.dir != "" {
-		st, err := snapshot.NewStore(s.dir, 0)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := st.Load()
-		if err != nil {
-			return nil, "", err
-		}
-		for i, q := range res.Quarantined {
-			log.Printf("priview-serve: quarantined corrupt snapshot %s: %v", q, res.Errs[i])
-		}
-		return res.Synopsis, res.Path, nil
+// openSingle opens the one-release registry of the -synopsis and -store
+// modes and loads the release eagerly, so a missing or corrupt synopsis
+// fails startup rather than the first query. The release gets the whole
+// cache budget (it is the only one resident) and no per-release
+// bulkhead: the router's admission control is its only gate.
+func openSingle(ctx context.Context, synPath, storeDir string, opt registry.Options) (*registry.Registry, error) {
+	opt.MaxLoaded = 1
+	opt.MaxInflight = -1
+	dir := storeDir
+	if synPath != "" {
+		opt.Loader = fileLoader{path: synPath}
+		dir = filepath.Dir(synPath)
 	}
-	syn, err := loadSynopsis(s.path)
+	reg, err := registry.NewSingle(dir, singleRelease, opt)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return syn, s.path, nil
-}
-
-// reload hot-swaps the served synopsis from the source. On failure the
-// previous synopsis keeps serving untouched. The reloaded synopsis gets
-// a fresh cache — qcache keys carry no synopsis identity, so reusing
-// the old cache would serve the previous release's answers — and is
-// re-warmed in the background.
-func reload(ctx context.Context, src *source, swap *server.Swappable, cc cacheConfig) error {
-	syn, from, err := src.load()
+	lease, err := reg.Acquire(ctx, singleRelease)
 	if err != nil {
-		return err
+		reg.Close()
+		return nil, err
 	}
-	q := cc.wrap(syn)
-	swap.Swap(q)
-	log.Printf("priview-serve: reloaded synopsis from %s (ε=%g, total=%g)", from, syn.Epsilon(), syn.Total())
-	cc.warmAsync(ctx, q)
-	return nil
+	lease.Close()
+	return reg, nil
 }
 
-// cacheConfig carries the query-cache flags. With both bounds ≤ 0 the
-// cache is disabled and synopses are served bare.
-type cacheConfig struct {
-	entries int
-	bytes   int64
-	warmK   int
-	metrics *server.Metrics // warm-progress + cache gauge surface (nil in tests)
+// fileLoader feeds a one-release registry from a single synopsis file
+// published by `priview build` (bare v1 or checksummed v2); the
+// release's snapshot store goes unused. The registry audits whatever
+// it returns against the release invariants before serving it.
+type fileLoader struct{ path string }
+
+// Load implements registry.Loader.
+func (l fileLoader) Load(ctx context.Context, _ string, _ *snapshot.Store) (*snapshot.LoadResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	syn, err := snapshot.ReadFileFS(snapshot.OS{}, l.path)
+	if err != nil {
+		return nil, err
+	}
+	return &snapshot.LoadResult{Synopsis: syn, Path: l.path}, nil
 }
 
-// wrap layers a fresh query cache over a loaded synopsis (or returns it
-// bare when the cache is disabled). Each call builds a new cache: one
-// cache must never outlive the synopsis it memoizes.
-func (cc cacheConfig) wrap(syn *core.Synopsis) server.Querier {
-	if cc.entries <= 0 && cc.bytes <= 0 {
-		return syn
+// Version implements registry.Versioner: a digest of the file's bytes,
+// so a rescan after the file is rewritten reloads it and one with the
+// content unchanged keeps the served synopsis and its cache.
+func (l fileLoader) Version(string, *snapshot.Store) (string, error) {
+	raw, err := os.ReadFile(l.path)
+	if err != nil {
+		return "", err
 	}
-	cq := server.NewCachedQuerier(syn, qcache.New(cc.entries, cc.bytes))
-	if cc.metrics != nil {
-		// Reloads build fresh caches; swapping each onto the same
-		// interned handles keeps the exported series cumulative.
-		cc.metrics.InstrumentCache("default", cq)
-	}
-	return cq
-}
-
-// warmAsync precomputes all ≤warmK-way marginals into q's cache in the
-// background, logging a summary when done. A no-op unless -warm is set
-// and q is cache-backed.
-func (cc cacheConfig) warmAsync(ctx context.Context, q server.Querier) {
-	cq, ok := q.(*server.CachedQuerier)
-	if !ok || cc.warmK <= 0 {
-		return
-	}
-	var wp *server.WarmProgress // nil is inert, so the paths stay merged
-	if cc.metrics != nil {
-		wp = cc.metrics.WarmProgress("default")
-	}
-	go func() {
-		start := time.Now()
-		wp.Begin()
-		warmed, skipped, err := cq.WarmWithProgress(ctx, cc.warmK, 0, wp.Update)
-		wp.End(warmed, skipped)
-		if err != nil {
-			log.Printf("priview-serve: cache warming stopped after %d marginals (%d skipped): %v", warmed, skipped, err)
-			return
-		}
-		log.Printf("priview-serve: warmed %d marginals (≤%d-way, %d degraded keys skipped) in %v",
-			warmed, cc.warmK, skipped, time.Since(start).Round(time.Millisecond))
-	}()
+	return fmt.Sprintf("%x", sha256.Sum256(raw)), nil
 }
 
 // parseWeights parses the -tenant-weights "name=weight,..." list.
@@ -406,7 +343,7 @@ func parseWeights(s string) (map[string]float64, error) {
 
 // logAdmissionStats emits the periodic overload-control line; silent
 // until the admission machinery has engaged at least once.
-func logAdmissionStats(h interface{ AdmissionStats() *admission.Stats }) {
+func logAdmissionStats(h *server.Multi) {
 	s := h.AdmissionStats()
 	if s == nil {
 		return
@@ -418,17 +355,6 @@ func logAdmissionStats(h interface{ AdmissionStats() *admission.Stats }) {
 			s.BrownoutActive, s.BrownoutServed, s.BrownoutRejected)
 	}
 	log.Print(line)
-}
-
-// logCacheStats emits the periodic cache counters line; silent when the
-// current querier keeps no cache.
-func logCacheStats(st server.CacheStatser) {
-	s, enabled := st.CacheStats()
-	if !enabled {
-		return
-	}
-	log.Printf("priview-serve: cache stats: hits=%d misses=%d evictions=%d coalesced=%d entries=%d bytes=%d",
-		s.Hits, s.Misses, s.Evictions, s.Coalesced, s.Entries, s.Bytes)
 }
 
 // logRegistryStats emits the periodic per-registry summary: residency,
@@ -455,46 +381,12 @@ func logRegistryStats(reg *registry.Registry) {
 	log.Print(line)
 }
 
-// shutdown drains srv gracefully: the handler's health probe flips to
+// shutdown drains srv gracefully: the handler's health probes flip to
 // 503 so load balancers stop routing new work, then http.Server.Shutdown
 // waits up to drain for in-flight requests before closing connections.
-func shutdown(srv *http.Server, handler drainer, drain time.Duration) error {
+func shutdown(srv *http.Server, handler *server.Multi, drain time.Duration) error {
 	handler.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	return srv.Shutdown(ctx)
-}
-
-// newServer assembles the HTTP server around a loaded synopsis,
-// returning both the PriView handler (for drain control) and the
-// http.Server wrapping it.
-func newServer(syn server.Querier, addr string, opt server.Options) (*server.Server, *http.Server) {
-	handler := server.NewWithOptions(syn, opt)
-	return handler, &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-}
-
-// loadSynopsis reads a synopsis published by `priview build` (bare v1
-// or checksummed v2), then audits it against the release invariants —
-// a synopsis that fails is refused, not served.
-func loadSynopsis(path string) (*core.Synopsis, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	syn, err := snapshot.Read(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	report := audit.Check(syn, audit.Options{})
-	if err := report.Err(); err != nil {
-		return nil, fmt.Errorf("%s failed its release audit: %w", path, err)
-	}
-	return syn, nil
 }

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -13,9 +16,7 @@ import (
 	"time"
 
 	"priview"
-	"priview/internal/chaos"
-	"priview/internal/core"
-	"priview/internal/marginal"
+	"priview/internal/registry"
 	"priview/internal/server"
 )
 
@@ -46,17 +47,38 @@ func buildSynopsisFile(t *testing.T) string {
 	return path
 }
 
-// TestServeSmoke drives the command's own plumbing end to end: load a
-// published synopsis from disk, wrap it in the query cache the way main
-// does, assemble the server, and answer health, marginal and stats
-// queries over a real TCP socket.
-func TestServeSmoke(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
-	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
+// quietOpts is the registry configuration main builds for the single
+// modes, minus telemetry, with the cache on.
+func quietOpts() registry.Options {
+	return registry.Options{
+		CacheEntries: 128,
+		CacheBytes:   1 << 20,
+		Logger:       log.New(io.Discard, "", 0),
 	}
-	cc := cacheConfig{entries: 128, bytes: 1 << 20}
-	_, srv := newServer(cc.wrap(syn), "127.0.0.1:0", server.Options{MaxK: 8})
+}
+
+// serveSingle opens the one-release registry the way main does for
+// -synopsis (or -store when synPath is empty) and fronts it with the
+// router.
+func serveSingle(t *testing.T, synPath, storeDir string, ropt registry.Options, opt server.Options) (*registry.Registry, *server.Multi) {
+	t.Helper()
+	reg, err := openSingle(context.Background(), synPath, storeDir, ropt)
+	if err != nil {
+		t.Fatalf("openSingle: %v", err)
+	}
+	t.Cleanup(reg.Close)
+	opt.Logger = log.New(io.Discard, "", 0)
+	return reg, server.NewMulti(reg, singleRelease, opt)
+}
+
+// TestServeSmoke drives the command's own plumbing end to end: load a
+// published synopsis from disk as the one-release registry main builds
+// for -synopsis, front it with the router, and answer health,
+// readiness, marginal, stats and release-listing queries over a real
+// TCP socket.
+func TestServeSmoke(t *testing.T) {
+	_, handler := serveSingle(t, buildSynopsisFile(t), "", quietOpts(), server.Options{MaxK: 8})
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -93,6 +115,9 @@ func TestServeSmoke(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: status %d, body %q", code, body)
 	}
+	if code, body := get("/readyz"); code != http.StatusOK {
+		t.Errorf("/readyz: status %d, body %q", code, body)
+	}
 	if code, body := get("/v1/marginal?attrs=0,1"); code != http.StatusOK {
 		t.Errorf("/v1/marginal: status %d, body %q", code, body)
 	}
@@ -104,49 +129,125 @@ func TestServeSmoke(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("/v1/stats: status %d, body %q", code, body)
 	}
-	for _, want := range []string{`"cache":true`, `"hits":1`, `"misses":1`} {
+	for _, want := range []string{`"name":"default"`, `"loaded":true`, `"cache":true`, `"cache_stats":{"hits":1,"misses":1,`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/v1/stats body %q missing %s", body, want)
 		}
 	}
+	if code, body := get("/v1/releases"); code != http.StatusOK || !strings.Contains(body, `{"default":"default","releases":["default"]}`) {
+		t.Errorf("/v1/releases: status %d, body %q", code, body)
+	}
 }
 
-// TestCacheConfigDisabled: both bounds ≤ 0 serve the synopsis bare.
+// TestCacheConfigDisabled: a cache entry bound ≤ 0 serves the synopsis
+// bare.
 func TestCacheConfigDisabled(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
-	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
-	}
-	cc := cacheConfig{entries: 0, bytes: 0}
-	if q := cc.wrap(syn); q != server.Querier(syn) {
-		t.Errorf("disabled cacheConfig wrapped the synopsis in %T", q)
+	ropt := quietOpts()
+	ropt.CacheEntries = orDisabled(0)
+	ropt.CacheBytes = orDisabled64(0)
+	reg, _ := serveSingle(t, buildSynopsisFile(t), "", ropt, server.Options{})
+	if st := reg.Stats()[0]; !st.Loaded || st.Cache {
+		t.Errorf("disabled cache: stats = %+v, want a loaded release with no cache", st)
 	}
 }
 
 func TestLoadSynopsisMissingFile(t *testing.T) {
-	if _, err := loadSynopsis(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("loadSynopsis on a missing file should fail")
+	if _, err := openSingle(context.Background(), filepath.Join(t.TempDir(), "nope.json"), "", quietOpts()); err == nil {
+		t.Fatal("opening a missing synopsis file should fail")
 	}
 }
 
-// gatedQuerier signals when a query reaches the synopsis and holds it
-// until released, so the shutdown test can deterministically have a
-// request in flight while the server drains.
-type gatedQuerier struct {
-	server.Querier
+// TestOrDisabled pins the flag convention: every value ≤ 0 maps to the
+// registry's "disabled" (negative), never to its "default" (zero).
+func TestOrDisabled(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{-5, -1}, {-1, -1}, {0, -1}, {1, 1}, {64, 64},
+	} {
+		if got := orDisabled(tc.in); got != tc.want {
+			t.Errorf("orDisabled(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+		if got := orDisabled64(int64(tc.in)); got != int64(tc.want) {
+			t.Errorf("orDisabled64(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestMain lets the startup tests run the real main in a child
+// process: with PRIVIEW_SERVE_ARGS set, the test binary is the command.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("PRIVIEW_SERVE_ARGS"); ok {
+		os.Args = append([]string{"priview-serve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit code and stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "PRIVIEW_SERVE_ARGS="+strings.Join(args, " "))
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	default:
+		t.Fatalf("running the command: %v", err)
+		return 0, ""
+	}
+}
+
+// TestStartupRejectsBadConfig: a non-positive admission target is a
+// usage error (exit 2), and a missing or corrupt synopsis or store fails
+// startup (exit 1) before anything listens.
+func TestStartupRejectsBadConfig(t *testing.T) {
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good := buildSynopsisFile(t)
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-synopsis", good, "-admission-target-delay", "0"}, 2, "-admission-target-delay must be > 0"},
+		{[]string{"-synopsis", good, "-admission-target-delay", "-1ms"}, 2, "-admission-target-delay must be > 0"},
+		{[]string{"-synopsis", filepath.Join(dir, "nope.json")}, 1, "nope.json"},
+		{[]string{"-synopsis", corrupt}, 1, "load failed"},
+		{[]string{"-store", filepath.Join(dir, "empty-store")}, 1, "no snapshots"},
+	} {
+		code, stderr := runMain(t, append(tc.args, "-addr", "127.0.0.1:0")...)
+		if code != tc.code || !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d mentioning %q", tc.args, code, stderr, tc.code, tc.msg)
+		}
+	}
+}
+
+// gatedHandler holds marginal requests until released, signalling when
+// the first one arrives, so the shutdown test can deterministically
+// have a query in flight while the server drains.
+type gatedHandler struct {
+	http.Handler
 	arrived chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, method core.ReconstructMethod) (*marginal.Table, error) {
-	g.once.Do(func() { close(g.arrived) })
-	select {
-	case <-g.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/marginal") {
+		g.once.Do(func() { close(g.arrived) })
+		<-g.release
 	}
-	return g.Querier.QueryMethodContext(ctx, attrs, method)
+	g.Handler.ServeHTTP(w, r)
 }
 
 // TestGracefulShutdownDrains proves the drain semantics: on shutdown
@@ -154,16 +255,9 @@ func (g *gatedQuerier) QueryMethodContext(ctx context.Context, attrs []int, meth
 // in-flight marginal query runs to completion rather than being cut,
 // and Serve returns http.ErrServerClosed.
 func TestGracefulShutdownDrains(t *testing.T) {
-	syn, err := loadSynopsis(buildSynopsisFile(t))
-	if err != nil {
-		t.Fatalf("loadSynopsis: %v", err)
-	}
-	gated := &gatedQuerier{
-		Querier: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Millisecond},
-		arrived: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	handler, srv := newServer(gated, "127.0.0.1:0", server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
+	_, handler := serveSingle(t, buildSynopsisFile(t), "", quietOpts(), server.Options{MaxK: 8, QueryTimeout: 30 * time.Second})
+	gated := &gatedHandler{Handler: handler, arrived: make(chan struct{}), release: make(chan struct{})}
+	srv := &http.Server{Handler: gated, ReadHeaderTimeout: 5 * time.Second}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -195,7 +289,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	select {
 	case <-gated.arrived:
 	case <-time.After(10 * time.Second):
-		t.Fatal("query never reached the synopsis")
+		t.Fatal("query never reached the server")
 	}
 
 	// Pre-drain: the probe reports healthy. Draining: 503, while the

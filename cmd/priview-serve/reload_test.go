@@ -17,6 +17,7 @@ import (
 
 	"priview"
 	"priview/internal/core"
+	"priview/internal/registry"
 	"priview/internal/server"
 	"priview/internal/snapshot"
 )
@@ -64,24 +65,39 @@ func TestStoreModeServesNewestSnapshot(t *testing.T) {
 	if _, err := st.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, from, err := src.load()
-	if err != nil {
-		t.Fatal(err)
+	reg, handler := serveSingle(t, "", dir, quietOpts(), server.Options{MaxK: 6})
+	if got := reg.Stats()[0].Snapshot; got != "snapshot-000002.json" {
+		t.Fatalf("loaded %s, want the newest snapshot", got)
 	}
-	if filepath.Base(from) != "snapshot-000002.json" {
-		t.Fatalf("loaded %s, want the newest snapshot", from)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+	var info struct {
+		Total float64 `json:"total"`
 	}
-	if math.Abs(syn.Total()-want.Total()) > 1e-9 {
-		t.Fatalf("total %v, want %v", syn.Total(), want.Total())
+	if code := getJSON(t, srv.URL+"/v1/info", &info); code != http.StatusOK {
+		t.Fatalf("/v1/info = %d", code)
+	}
+	if math.Abs(info.Total-want.Total()) > 1e-9 {
+		t.Fatalf("total %v, want %v", info.Total, want.Total())
 	}
 }
 
+// cacheStats reads the one release's cache counters.
+func cacheStats(t *testing.T, reg *registry.Registry) registry.ReleaseStats {
+	t.Helper()
+	st := reg.Stats()[0]
+	if !st.Cache {
+		t.Fatalf("release serves without a cache: %+v", st)
+	}
+	return st
+}
+
 // TestHotReloadKeepsServingThroughCorruption is the serving half of the
-// durability contract: a SIGHUP-triggered reload that encounters a
-// corrupt newest snapshot falls back to the good one; a reload with the
-// whole store corrupted fails without touching the served synopsis. At
-// no point does any query fail.
+// durability contract: a SIGHUP-triggered rescan that encounters a
+// corrupt newest snapshot falls back to the good one; a rescan with the
+// whole store corrupted fails without touching the served synopsis; a
+// rescan with nothing changed keeps the cache. At no point does any
+// query fail.
 func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.NewStore(dir, 10)
@@ -92,18 +108,12 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	if _, err := st.Save(first); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, _, err := src.load()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Serve with the query cache on, the default deployment: each reload
 	// must wrap the new synopsis in a fresh cache.
-	cc := cacheConfig{entries: 64, bytes: 1 << 20}
-	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.NewWithOptions(swap, server.Options{MaxK: 6})
+	reg, handler := serveSingle(t, "", dir, quietOpts(), server.Options{MaxK: 6})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
+	ctx := context.Background()
 
 	failed := 0
 	query := func() (total float64) {
@@ -119,6 +129,16 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 		return body.Total
 	}
 	query()
+	query()
+
+	// A rescan with nothing changed is a no-op: the cache keeps its
+	// entry and counters.
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("rescan: %v", err)
+	}
+	if cs := cacheStats(t, reg).CacheStats; cs.Entries != 1 || cs.Hits != 1 {
+		t.Fatalf("cache after an idle rescan = %+v, want the 1 entry and 1 hit kept", cs)
+	}
 
 	// Publish a second synopsis and hot-reload: new total served.
 	second := buildSyn(t, 4)
@@ -126,34 +146,45 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reload(context.Background(), src, swap, cc); err != nil {
-		t.Fatalf("reload: %v", err)
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("rescan: %v", err)
 	}
 	if got := query(); math.Abs(got-second.Total()) > 1e-6 {
 		t.Fatalf("after reload total = %v, want %v", got, second.Total())
 	}
-	// The reloaded synopsis answers from a fresh cache: exactly the one
-	// miss from the query above, nothing inherited from the old cache.
-	if st, enabled := swap.CacheStats(); !enabled || st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("cache after reload = %+v (enabled=%v), want a fresh cache with 1 miss", st, enabled)
+	// The reloaded synopsis answers from a fresh cache — the new total
+	// above proves nothing was inherited — that the warm handoff and
+	// the query fill with one solve of the one hot key.
+	if cs := cacheStats(t, reg).CacheStats; cs.Misses != 1 || cs.Entries != 1 {
+		t.Fatalf("cache after reload = %+v, want a fresh cache with 1 miss", cs)
 	}
 
-	// Corrupt the newest snapshot; reload must fall back to the first.
+	// Corrupt the newest snapshot and publish a third whose newest-name
+	// forces a reload; the corrupt one must be skipped.
 	if err := os.WriteFile(secondPath, []byte(`{"format":"priview-synopsis-v2","checksum":"sha256:00","payload":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := reload(context.Background(), src, swap, cc); err != nil {
-		t.Fatalf("reload with fallback available: %v", err)
+	thirdPath, err := st.Save(buildSyn(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(thirdPath, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("rescan with fallback available: %v", err)
 	}
 	if got := query(); math.Abs(got-first.Total()) > 1e-6 {
 		t.Fatalf("after corrupt reload total = %v, want fallback %v", got, first.Total())
 	}
-	if _, err := os.Stat(secondPath + ".corrupt"); err != nil {
-		t.Fatalf("corrupt snapshot not quarantined: %v", err)
+	for _, p := range []string{secondPath, thirdPath} {
+		if _, err := os.Stat(p + ".corrupt"); err != nil {
+			t.Fatalf("corrupt snapshot not quarantined: %v", err)
+		}
 	}
 
-	// Corrupt everything; reload fails but the last good synopsis keeps
-	// serving.
+	// Corrupt everything and publish a newer name; the reload fails but
+	// the last good synopsis keeps serving.
 	names, err := st.Snapshots()
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +194,77 @@ func TestHotReloadKeepsServingThroughCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := reload(context.Background(), src, swap, cc); err == nil {
-		t.Fatal("reload succeeded with a fully corrupt store")
+	if err := os.WriteFile(filepath.Join(dir, "snapshot-000009.json"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatalf("rescan: %v", err)
+	}
+	if rs := reg.Stats()[0]; rs.ReloadFailures != 1 {
+		t.Fatalf("reload_failures = %d, want 1 (stats %+v)", rs.ReloadFailures, rs)
 	}
 	if got := query(); math.Abs(got-first.Total()) > 1e-6 {
 		t.Fatalf("after failed reload total = %v, want unchanged %v", got, first.Total())
 	}
 	if failed != 0 {
 		t.Fatalf("%d queries failed across the corruption sequence, want 0", failed)
+	}
+}
+
+// TestSynopsisFileModeReloadsOnChange is the SIGHUP contract for
+// -synopsis: a rescan after the file is rewritten serves the new
+// synopsis, a rescan with the file untouched keeps the cache, and a
+// rescan after the file is corrupted keeps the last good synopsis.
+func TestSynopsisFileModeReloadsOnChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "syn.json")
+	first := buildSyn(t, 6)
+	if err := snapshot.WriteFile(snapshot.OS{}, path, first); err != nil {
+		t.Fatal(err)
+	}
+	reg, handler := serveSingle(t, path, "", quietOpts(), server.Options{MaxK: 6})
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+	ctx := context.Background()
+	query := func() float64 {
+		t.Helper()
+		var body struct {
+			Total float64 `json:"total"`
+		}
+		if code := getJSON(t, srv.URL+"/v1/marginal?attrs=0,1", &body); code != http.StatusOK {
+			t.Fatalf("query failed with status %d", code)
+		}
+		return body.Total
+	}
+	query()
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if cs := cacheStats(t, reg).CacheStats; cs.Entries != 1 {
+		t.Fatalf("cache after an idle rescan = %+v, want its entry kept", cs)
+	}
+
+	second := buildSyn(t, 7)
+	if err := snapshot.WriteFile(snapshot.OS{}, path, second); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(); math.Abs(got-second.Total()) > 1e-6 {
+		t.Fatalf("after rewrite total = %v, want %v", got, second.Total())
+	}
+
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(); math.Abs(got-second.Total()) > 1e-6 {
+		t.Fatalf("after corrupt rewrite total = %v, want last good %v", got, second.Total())
+	}
+	if rs := reg.Stats()[0]; rs.Reloads != 1 || rs.ReloadFailures != 1 {
+		t.Fatalf("reloads = %d, reload_failures = %d; want 1 and 1", rs.Reloads, rs.ReloadFailures)
 	}
 }
 
@@ -185,8 +279,8 @@ func TestLoadSynopsisRefusesAuditFailure(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadSynopsis(path); err == nil {
-		t.Fatal("loadSynopsis served an audit-failing synopsis")
+	if _, err := openSingle(context.Background(), path, "", quietOpts()); err == nil {
+		t.Fatal("openSingle served an audit-failing synopsis")
 	}
 }
 
@@ -197,16 +291,18 @@ func TestLoadSynopsisAcceptsV2(t *testing.T) {
 	if err := snapshot.WriteFile(snapshot.OS{}, path, buildSyn(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadSynopsis(path); err != nil {
+	reg, err := openSingle(context.Background(), path, "", quietOpts())
+	if err != nil {
 		t.Fatalf("v2 snapshot rejected: %v", err)
 	}
+	reg.Close()
 }
 
 // TestReloadRaceServesCleanly is the hot-reload race proof behind the
 // SIGHUP contract: 12 query workers hammer the full middleware stack
-// (recovery, shedding disabled so every answer must be a real 200,
-// per-request deadline) while the main goroutine reloads the store 30
-// times, half of them onto a freshly published snapshot. Run under
+// (recovery, per-request deadline; no admission control, so every
+// answer must be a real 200) while the main goroutine rescans the store
+// 30 times, half of them onto a freshly published snapshot. Run under
 // -race this doubles as the data-race check on the swap/cache
 // handoff; any non-200 — a 5xx from a torn swap most of all — fails.
 func TestReloadRaceServesCleanly(t *testing.T) {
@@ -218,14 +314,7 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 	if _, err := st.Save(buildSyn(t, 10)); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{dir: dir}
-	syn, _, err := src.load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := cacheConfig{entries: 128, bytes: 1 << 20}
-	swap := server.NewSwappable(cc.wrap(syn))
-	handler := server.NewWithOptions(swap, server.Options{
+	reg, handler := serveSingle(t, "", dir, quietOpts(), server.Options{
 		MaxK:         6,
 		QueryTimeout: 10 * time.Second,
 	})
@@ -276,13 +365,16 @@ func TestReloadRaceServesCleanly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := reload(ctx, src, swap, cc); err != nil {
-			t.Fatalf("reload %d: %v", i, err)
+		if err := reg.Reconcile(ctx); err != nil {
+			t.Fatalf("rescan %d: %v", i, err)
 		}
 	}
 	close(stop)
 	wg.Wait()
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d queries failed across 30 hot reloads, want 0", n)
+	}
+	if rs := reg.Stats()[0]; rs.Reloads != 15 {
+		t.Errorf("reloads = %d, want 15 (one per published snapshot)", rs.Reloads)
 	}
 }

@@ -1,6 +1,7 @@
 // Integration tests exercising whole pipelines across packages: the
-// curator workflow (plan → budget → build → save → serve → query), the
-// d=64 extreme, and cross-method sanity at the public-API level.
+// curator workflow (plan → budget → build → save → publish → serve →
+// query), the d=64 extreme, and cross-method sanity at the public-API
+// level.
 package priview_test
 
 import (
@@ -15,7 +16,9 @@ import (
 	"priview/internal/dataset/synth"
 	"priview/internal/marginal"
 	"priview/internal/privacy"
+	"priview/internal/registry"
 	"priview/internal/server"
+	"priview/internal/snapshot"
 )
 
 // TestCuratorWorkflow runs the full deployment story: estimate N with a
@@ -57,8 +60,23 @@ func TestCuratorWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Step 4: serve and query via HTTP.
-	ts := httptest.NewServer(server.New(loaded, 0))
+	// Step 4: publish to a snapshot store and serve it the way
+	// `priview-serve -store` does — a one-release registry behind the
+	// router — then query via HTTP.
+	dir := t.TempDir()
+	st, err := snapshot.NewStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(loaded); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.NewSingle(dir, "default", registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ts := httptest.NewServer(server.NewMulti(reg, "default", server.Options{}))
 	defer ts.Close()
 	client := server.NewClient(ts.URL, nil)
 	attrs := []int{2, 9, 18, 27}

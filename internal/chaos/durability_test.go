@@ -184,7 +184,7 @@ func TestNaNViewNeverServesNaN(t *testing.T) {
 	for i := range syn.Views()[0].Cells {
 		syn.Views()[0].Cells[i] = math.NaN()
 	}
-	srv := httptest.NewServer(server.New(syn, 6))
+	srv := httptest.NewServer(serveOne(syn, server.Options{MaxK: 6}))
 	defer srv.Close()
 
 	queries := [][]int{{0, 1}, {0, 5}, {1, 6}, {2, 3}, {0, 1, 5}, {4}}

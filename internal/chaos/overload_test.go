@@ -208,7 +208,7 @@ func TestOverloadStorm(t *testing.T) {
 	const baseDelay = 5 * time.Millisecond
 	vs := &varSlow{Querier: durabilitySyn(3)}
 	vs.SetDelay(baseDelay)
-	srv := server.NewWithOptions(vs, server.Options{
+	srv := serveOne(vs, server.Options{
 		MaxK:         9,
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
@@ -284,9 +284,9 @@ func TestOverloadStorm(t *testing.T) {
 		t.Error("slow storm starved every request — no goodput at all")
 	}
 
-	// The observability contract: /v1/stats must expose the admission
-	// counters the phases above exercised.
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	// The observability contract: /v1/releases must expose the
+	// admission counters the phases above exercised.
+	resp, err := http.Get(ts.URL + "/v1/releases")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestOverloadStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Admission == nil {
-		t.Fatal("/v1/stats has no admission block with adaptive admission enabled")
+		t.Fatal("/v1/releases has no admission block with adaptive admission enabled")
 	}
 	if stats.Admission.Admitted == 0 {
 		t.Error("admission stats counted nothing admitted")
@@ -360,7 +360,7 @@ func TestBatchOverloadStorm(t *testing.T) {
 	const delay = 5 * time.Millisecond
 	vs := &varSlow{Querier: durabilitySyn(7)}
 	vs.SetDelay(delay)
-	srv := server.NewWithOptions(vs, server.Options{
+	srv := serveOne(vs, server.Options{
 		MaxK:         9,
 		QueryTimeout: 2 * time.Second,
 		Logger:       log.New(io.Discard, "", 0),
@@ -442,7 +442,7 @@ func TestBatchOverloadStorm(t *testing.T) {
 	}
 
 	// The admission counters must attribute the storm.
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
+	statsResp, err := http.Get(ts.URL + "/v1/releases")
 	if err != nil {
 		t.Fatal(err)
 	}

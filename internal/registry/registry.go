@@ -1,12 +1,15 @@
-// Package registry serves many named synopsis releases from one
-// process with hard failure isolation between them — the multi-tenant
-// counterpart to cmd/priview-serve's single-synopsis mode.
+// Package registry serves named synopsis releases from one process
+// with hard failure isolation between them. It backs every serving mode
+// of cmd/priview-serve: New scans a root of release directories
+// (-registry-root), and NewSingle holds one fixed release over a store
+// directory or, through a Loader, a single synopsis file (-store and
+// -synopsis).
 //
 // Each subdirectory of the registry root is a release (a tenant): a
 // snapshot.Store directory owned by that tenant alone. A release is
 // loaded lazily on its first query, through a per-release singleflight
 // so a thundering herd runs one load, and every release keeps its own
-// query cache and hot-swap cell. The isolation primitives are:
+// query cache and serving state. The isolation primitives are:
 //
 //   - Circuit breaker: after BreakerThreshold consecutive load or
 //     audit failures the release fast-fails with 503 + Retry-After for
@@ -57,6 +60,16 @@ import (
 // smuggle an invariant-violating synopsis past the gate.
 type Loader interface {
 	Load(ctx context.Context, release string, st *snapshot.Store) (*snapshot.LoadResult, error)
+}
+
+// Versioner is an optional Loader extension for a source that is not a
+// snapshot store, such as a single synopsis file. Version returns a
+// token that changes whenever the source's content does; Reconcile
+// hot-reloads a resident release only when the token differs from the
+// one taken at its last load. Without it the token is the name of the
+// store's newest snapshot.
+type Versioner interface {
+	Version(release string, st *snapshot.Store) (string, error)
 }
 
 // storeLoader is the default Loader: the release's own store.
@@ -220,9 +233,11 @@ func (o Options) perReleaseBytes() int64 {
 }
 
 // Registry maps release names to their serving state and implements
-// server.Resolver. One Registry serves one root directory.
+// server.Resolver. One Registry serves one root directory, or one fixed
+// release (NewSingle).
 type Registry struct {
 	root    string
+	single  bool // one fixed release: no scan, no discovery, no retirement
 	opt     Options
 	loadSem chan struct{}    // shared load concurrency; breaker-open tenants never enter
 	budget  *qcache.Budget   // global cache byte pool; nil when disabled
@@ -246,6 +261,32 @@ func New(root string, opt Options) (*Registry, error) {
 	if err := opt.FS.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating root %s: %w", root, err)
 	}
+	return newRegistry(root, opt), nil
+}
+
+// NewSingle opens a registry holding exactly one release, name, over
+// the snapshot store at dir. Nothing is scanned, discovered or retired,
+// and Reconcile only hot-reloads that release when its source changed.
+// The release is registered cold and reports ready at once; Acquire it
+// to load it eagerly. A Loader that reads elsewhere (and a Versioner to
+// track it) turns dir into a placeholder.
+func NewSingle(dir, name string, opt Options) (*Registry, error) {
+	opt = opt.withDefaults()
+	if !validName(name) {
+		return nil, fmt.Errorf("registry: invalid release name %q", name)
+	}
+	st, err := snapshot.NewStoreFS(opt.FS, dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("registry: opening release %s: %w", name, err)
+	}
+	reg := newRegistry(dir, opt)
+	reg.single = true
+	reg.scanned = true
+	reg.rel[name] = newRelease(reg, name, st)
+	return reg, nil
+}
+
+func newRegistry(root string, opt Options) *Registry {
 	reg := &Registry{
 		root:    root,
 		opt:     opt,
@@ -259,7 +300,7 @@ func New(root string, opt Options) (*Registry, error) {
 		reg.fams = newReleaseFamilies(opt.Metrics.Registry)
 	}
 	reg.bg, reg.cancel = context.WithCancel(context.Background())
-	return reg, nil
+	return reg
 }
 
 // Close stops the registry's background work (cache warming). Serving
@@ -312,7 +353,7 @@ func (reg *Registry) lookup(name string) (*release, error) {
 	if ok {
 		return rl, nil
 	}
-	if !validName(name) {
+	if reg.single || !validName(name) {
 		return nil, server.ErrUnknownRelease
 	}
 	// Probe the root for a directory with this name. ReadDir (not
@@ -399,8 +440,18 @@ func (reg *Registry) Stats() []ReleaseStats {
 // registered cold, vanished ones are retired (in-flight leases finish;
 // new queries get 404), and loaded releases whose newest snapshot
 // changed are hot-reloaded through the keep-last-good path. The
-// serving path never blocks on a reconcile.
+// serving path never blocks on a reconcile. A NewSingle registry has no
+// root to scan: only its release's hot reload runs.
 func (reg *Registry) Reconcile(ctx context.Context) error {
+	if reg.single {
+		reg.mu.Lock()
+		var live []*release
+		for _, rl := range reg.rel {
+			live = append(live, rl)
+		}
+		reg.mu.Unlock()
+		return reg.reload(ctx, live)
+	}
 	entries, err := reg.opt.FS.ReadDir(reg.root)
 	if err != nil {
 		return fmt.Errorf("registry: scanning %s: %w", reg.root, err)
@@ -434,6 +485,11 @@ func (reg *Registry) Reconcile(ctx context.Context) error {
 		rl.retire()
 		reg.opt.Logger.Printf("registry: retired release %s (directory removed)", rl.name)
 	}
+	return reg.reload(ctx, live)
+}
+
+// reload hot-reloads each live release whose source changed.
+func (reg *Registry) reload(ctx context.Context, live []*release) error {
 	for _, rl := range live {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -665,3 +665,76 @@ func TestLeaseForwardsCacheOnlyQuery(t *testing.T) {
 		t.Fatalf("warm cache miss (hit=%v tab=%v)", hit, tab)
 	}
 }
+
+// versionLoader serves the store with a test-controlled Versioner
+// token, standing in for a source that is not a snapshot store.
+type versionLoader struct {
+	mu      sync.Mutex
+	version string
+	loads   int
+}
+
+func (l *versionLoader) set(v string) {
+	l.mu.Lock()
+	l.version = v
+	l.mu.Unlock()
+}
+
+func (l *versionLoader) Load(_ context.Context, _ string, st *snapshot.Store) (*snapshot.LoadResult, error) {
+	l.mu.Lock()
+	l.loads++
+	l.mu.Unlock()
+	return st.Load()
+}
+
+func (l *versionLoader) Version(string, *snapshot.Store) (string, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.version, nil
+}
+
+// TestSingleRelease pins the one-release registry behind priview-serve's
+// -store and -synopsis modes: ready at once, no discovery of sibling
+// directories, a Reconcile that never retires and reloads only on a
+// source change, and an idle Reconcile that keeps the cache.
+func TestSingleRelease(t *testing.T) {
+	root := t.TempDir()
+	st := saveRelease(t, root, "store", 1)
+	if err := os.Mkdir(filepath.Join(root, "store", "sibling"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	loader := &versionLoader{version: "v1"}
+	reg, err := registry.NewSingle(st.Dir(), "default", registry.Options{Loader: loader, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if !reg.Ready() || fmt.Sprint(reg.Releases()) != "[default]" {
+		t.Fatalf("ready=%v releases=%v, want ready with only [default]", reg.Ready(), reg.Releases())
+	}
+	if _, err := reg.Acquire(context.Background(), "sibling"); !errors.Is(err, server.ErrUnknownRelease) {
+		t.Fatalf("Acquire(sibling) = %v, want ErrUnknownRelease (no discovery)", err)
+	}
+	lease, err := reg.Acquire(context.Background(), "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, lease)
+	lease.Close()
+
+	// Nothing changed: no load, no retirement, the cache keeps its entry.
+	if err := reg.Reconcile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := reg.Stats()[0]; !s.Loaded || s.Reloads != 0 || s.CacheStats.Entries != 1 || loader.loads != 1 {
+		t.Fatalf("idle reconcile: stats %+v, loads %d; want the release untouched", s, loader.loads)
+	}
+	// A new token reloads, whatever the store's file names say.
+	loader.set("v2")
+	if err := reg.Reconcile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := reg.Stats()[0]; s.Reloads != 1 || loader.loads != 2 {
+		t.Fatalf("reconcile after a version change: stats %+v, loads %d; want one reload", s, loader.loads)
+	}
+}

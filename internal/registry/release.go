@@ -59,9 +59,10 @@ type release struct {
 	mu         sync.Mutex
 	loaded     bool
 	retired    bool
-	swap       *server.Swappable // nil until first successful load
-	cache      *qcache.Cache     // nil when caching disabled or evicted
-	loadedPath string            // snapshot file currently served
+	q          server.Querier // nil until first successful load
+	cache      *qcache.Cache  // nil when caching disabled or evicted
+	loadedPath string         // snapshot file currently served
+	version    string         // source version served (see Versioner)
 	loading    chan struct{}     // non-nil while a load is in flight (singleflight)
 	warmMasks  []qcache.Key      // hot keys saved at eviction, replayed on re-admit
 
@@ -289,7 +290,7 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 			return nil, server.ErrUnknownRelease
 		}
 		if rl.loaded {
-			q := rl.swap.Current()
+			q := rl.q
 			rl.mu.Unlock()
 			rl.lastTouch.Store(rl.reg.nextTouch())
 			return q, nil
@@ -351,27 +352,12 @@ func (rl *release) ensure(ctx context.Context) (server.Querier, error) {
 // lead runs the singleflight load as its leader: shared-semaphore
 // admission, the loader, the audit gate, then publish-or-strike.
 func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, error) {
-	reg := rl.reg
 	rl.c.LoadAttempts.Add(1)
-	var res *snapshot.LoadResult
-	var err error
 	// Breaker-open tenants return before this point, so a broken
 	// tenant in fast-fail never occupies a shared load slot.
-	select {
-	case reg.loadSem <- struct{}{}:
-		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.store)
-		<-reg.loadSem
-	case <-ctx.Done():
-		err = reconstruct.ContextErr(ctx)
-	}
+	res, version, err := rl.load(ctx)
 	if err == nil {
-		for i, q := range res.Quarantined {
-			reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
-		}
-		err = auditGate(res)
-	}
-	if err == nil {
-		return rl.publish(res), nil
+		return rl.publish(res, version), nil
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, reconstruct.ErrCanceled) {
 		// The client went away mid-load — not the tenant's fault, so no
@@ -387,37 +373,90 @@ func (rl *release) lead(ctx context.Context, ch chan struct{}) (server.Querier, 
 	return nil, rl.strike(ch, err)
 }
 
-// publish installs a freshly loaded synopsis as the serving state:
-// fresh cache (keys carry no synopsis identity, so caches never
-// survive a data change), breaker closed, residency enforced, warm
-// handoff scheduled.
-func (rl *release) publish(res *snapshot.LoadResult) server.Querier {
+// load runs the loader under the shared load semaphore, then the audit
+// gate, and reports the source version it loaded: the Versioner's
+// token taken just before loading, else the loaded snapshot's name.
+func (rl *release) load(ctx context.Context) (*snapshot.LoadResult, string, error) {
 	reg := rl.reg
-	var cache *qcache.Cache
-	var q server.Querier = res.Synopsis
-	if reg.opt.CacheEntries > 0 {
-		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
-		cq := server.NewCachedQuerier(res.Synopsis, cache)
-		if reg.opt.Metrics != nil {
-			// Each publish builds a fresh cache; swapping it onto the
-			// release's interned handles keeps the exported series
-			// cumulative over the release's lifetime.
-			reg.opt.Metrics.InstrumentCache(rl.name, cq)
-		}
-		q = cq
+	var version string
+	vr, versioned := reg.opt.Loader.(Versioner)
+	if versioned {
+		//lint:ignore errdiscard an unreadable token stays empty, so the next Reconcile that can read one reloads
+		version, _ = vr.Version(rl.name, rl.store)
 	}
+	var res *snapshot.LoadResult
+	var err error
+	select {
+	case reg.loadSem <- struct{}{}:
+		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.store)
+		<-reg.loadSem
+	case <-ctx.Done():
+		err = reconstruct.ContextErr(ctx)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	for i, q := range res.Quarantined {
+		reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
+	}
+	if err := auditGate(res); err != nil {
+		return nil, "", err
+	}
+	if !versioned {
+		version = filepath.Base(res.Path)
+	}
+	return res, version, nil
+}
+
+// sourceVersion reports the version the release's source holds now:
+// the Versioner's token, else the newest snapshot's name. ok is false
+// when it cannot be read or there is nothing to load.
+func (rl *release) sourceVersion() (string, bool) {
+	if vr, ok := rl.reg.opt.Loader.(Versioner); ok {
+		v, err := vr.Version(rl.name, rl.store)
+		return v, err == nil
+	}
+	names, err := rl.store.Snapshots()
+	if err != nil || len(names) == 0 {
+		return "", false
+	}
+	return names[0], true
+}
+
+// serving wraps a freshly loaded synopsis in a fresh cache (keys carry
+// no synopsis identity, so caches never survive a data change), or
+// returns it bare when caching is disabled.
+func (rl *release) serving(syn *core.Synopsis) (server.Querier, *qcache.Cache) {
+	reg := rl.reg
+	if reg.opt.CacheEntries <= 0 {
+		return syn, nil
+	}
+	cache := qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
+	cq := server.NewCachedQuerier(syn, cache)
+	if reg.opt.Metrics != nil {
+		// Each load builds a fresh cache; swapping it onto the release's
+		// interned handles keeps the exported series cumulative over
+		// the release's lifetime.
+		reg.opt.Metrics.InstrumentCache(rl.name, cq)
+	}
+	return cq, cache
+}
+
+// publish installs a freshly loaded synopsis as the serving state:
+// fresh cache, breaker closed, residency enforced, warm handoff
+// scheduled.
+func (rl *release) publish(res *snapshot.LoadResult, version string) server.Querier {
+	reg := rl.reg
+	q, cache := rl.serving(res.Synopsis)
 	rl.mu.Lock()
-	if rl.swap == nil {
-		rl.swap = server.NewSwappable(q)
-	} else {
-		rl.swap.Swap(q)
-	}
+	rl.q = q
 	readmitted := rl.warmMasks != nil
 	handoff := rl.warmMasks
 	rl.warmMasks = nil
 	rl.cache = cache
 	rl.loaded = true
 	rl.loadedPath = res.Path
+	rl.version = version
 	rl.state = stateClosed
 	rl.consecFails = 0
 	rl.probing = false
@@ -527,7 +566,7 @@ func (rl *release) evict() {
 		rl.cache.Purge()
 	}
 	rl.cache = nil
-	rl.swap = nil
+	rl.q = nil
 	rl.loaded = false
 	rl.loadedPath = ""
 	rl.loadedFlag.Store(false)
@@ -544,7 +583,7 @@ func (rl *release) retire() {
 		rl.cache.Purge()
 	}
 	rl.cache = nil
-	rl.swap = nil
+	rl.q = nil
 	rl.loaded = false
 	rl.loadedFlag.Store(false)
 }
@@ -555,10 +594,10 @@ func (rl *release) retire() {
 func (rl *release) currentQuerier() server.Querier {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	if !rl.loaded || rl.swap == nil {
+	if !rl.loaded {
 		return nil
 	}
-	return rl.swap.Current()
+	return rl.q
 }
 
 // warmAsync pre-fills q's cache in the background: first the handoff
@@ -605,19 +644,19 @@ func (rl *release) warmAsync(q server.Querier, handoff []qcache.Key) {
 	}()
 }
 
-// maybeReload checks whether the release's newest on-disk snapshot
-// differs from the one being served and, if so, hot-reloads it through
+// maybeReload checks whether the release's source version (its newest
+// on-disk snapshot, or its Versioner token) differs from the one being
+// served and, if so, hot-reloads it through
 // keep-last-good: the old synopsis serves until the new one has passed
 // checksum + audit, and a failed reload changes nothing but a counter.
 // Cold releases stay cold (lazy loading is the admission path).
 func (rl *release) maybeReload(ctx context.Context) {
-	names, err := rl.store.Snapshots()
-	if err != nil || len(names) == 0 {
+	newest, ok := rl.sourceVersion()
+	if !ok {
 		return
 	}
-	newest := names[0]
 	rl.mu.Lock()
-	if !rl.loaded || rl.retired || rl.loading != nil || filepath.Base(rl.loadedPath) == newest {
+	if !rl.loaded || rl.retired || rl.loading != nil || rl.version == newest {
 		rl.mu.Unlock()
 		return
 	}
@@ -627,20 +666,7 @@ func (rl *release) maybeReload(ctx context.Context) {
 	rl.mu.Unlock()
 
 	reg := rl.reg
-	var res *snapshot.LoadResult
-	select {
-	case reg.loadSem <- struct{}{}:
-		res, err = reg.opt.Loader.Load(ctx, rl.name, rl.store)
-		<-reg.loadSem
-	case <-ctx.Done():
-		err = reconstruct.ContextErr(ctx)
-	}
-	if err == nil {
-		for i, q := range res.Quarantined {
-			reg.opt.Logger.Printf("registry: %s: quarantined corrupt snapshot %s: %v", rl.name, q, res.Errs[i])
-		}
-		err = auditGate(res)
-	}
+	res, version, err := rl.load(ctx)
 	if err != nil {
 		reg.opt.Logger.Printf("registry: %s: reload failed, keeping last good synopsis: %v", rl.name, err)
 		rl.c.ReloadFailures.Add(1)
@@ -651,16 +677,7 @@ func (rl *release) maybeReload(ctx context.Context) {
 		close(ch)
 		return
 	}
-	var cache *qcache.Cache
-	var q server.Querier = res.Synopsis
-	if reg.opt.CacheEntries > 0 {
-		cache = qcache.NewShared(reg.opt.CacheEntries, reg.opt.perReleaseBytes(), reg.budget)
-		cq := server.NewCachedQuerier(res.Synopsis, cache)
-		if reg.opt.Metrics != nil {
-			reg.opt.Metrics.InstrumentCache(rl.name, cq)
-		}
-		q = cq
-	}
+	q, cache := rl.serving(res.Synopsis)
 	// The old cache's hot keys seed the new one; its entries must not
 	// survive (qcache keys carry no synopsis identity).
 	var handoff []qcache.Key
@@ -678,22 +695,19 @@ func (rl *release) maybeReload(ctx context.Context) {
 		close(ch)
 		return
 	}
-	if rl.swap == nil {
-		// Evicted while the reload was in flight; treat as a fresh
-		// admission.
-		rl.swap = server.NewSwappable(q)
-	} else {
-		rl.swap.Swap(q)
-	}
+	// If the release was evicted while the reload was in flight, this
+	// is a fresh admission.
+	rl.q = q
 	rl.cache = cache
 	rl.loaded = true
 	rl.loadedPath = res.Path
+	rl.version = version
 	rl.loading = nil
 	rl.mu.Unlock()
 	rl.loadedFlag.Store(true)
 	rl.c.Reloads.Add(1)
 	close(ch)
-	reg.opt.Logger.Printf("registry: %s: reloaded snapshot %s (ε=%g)", rl.name, newest, res.Synopsis.Epsilon())
+	reg.opt.Logger.Printf("registry: %s: reloaded snapshot %s (ε=%g)", rl.name, filepath.Base(res.Path), res.Synopsis.Epsilon())
 	reg.noteLoaded(rl)
 	rl.warmAsync(q, handoff)
 }

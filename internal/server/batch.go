@@ -20,7 +20,7 @@ import (
 // BatchQuerier is the batched query surface: answer many marginal
 // requests in one call, deduplicating identical requests and sharing
 // solver precompute across them. *core.Synopsis implements it; wrappers
-// (CachedQuerier, Swappable, registry leases) forward it explicitly.
+// (CachedQuerier, registry leases) forward it explicitly.
 type BatchQuerier interface {
 	QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error)
 }
@@ -220,8 +220,7 @@ func uniqueSolves(reqs []core.BatchRequest) (n int, methods map[core.Reconstruct
 }
 
 // serveMarginals validates, solves and answers one batched marginal
-// request against q. Shared between the singleton Server and the
-// multi-tenant router, which resolves q per release.
+// request against q, the resolved release.
 //
 // The deadline gate lives here rather than in the deadlined middleware:
 // a batch's expected service time scales with its deduplicated size

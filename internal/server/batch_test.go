@@ -167,7 +167,7 @@ func TestMarginalsDefaultMethodFromSynopsis(t *testing.T) {
 	data := synth.MSNBC(3000, 21)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg, Method: core.CLN}, noise.NewStream(22))
-	s := New(syn, 0)
+	s := serveOne(syn, Options{})
 	rec := postMarginals(t, s, "/v1/marginals", map[string]interface{}{
 		"queries": []map[string]interface{}{{"attrs": []int{0, 4}}},
 	})
@@ -375,7 +375,7 @@ func TestBrownoutServesCachedBatchesOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := NewWithOptions(cached, Options{
+	s := serveOne(cached, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  &admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},

@@ -24,7 +24,7 @@ func benchServerSynopsis(b *testing.B) *core.Synopsis {
 
 const benchServerPath = "/v1/marginal?attrs=0,4,9,13,17,22,26,30"
 
-func benchMarginal(b *testing.B, handler *Server) {
+func benchMarginal(b *testing.B, handler *Multi) {
 	b.Helper()
 	req := httptest.NewRequest(http.MethodGet, benchServerPath, nil)
 	for i := 0; i < b.N; i++ {
@@ -39,7 +39,7 @@ func benchMarginal(b *testing.B, handler *Server) {
 // BenchmarkServerMarginalUncached is the serving path before this
 // change: every request re-runs the solve.
 func BenchmarkServerMarginalUncached(b *testing.B) {
-	handler := New(benchServerSynopsis(b), 0)
+	handler := serveOne(benchServerSynopsis(b), Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	benchMarginal(b, handler)
@@ -50,7 +50,7 @@ func BenchmarkServerMarginalUncached(b *testing.B) {
 // cost is HTTP + JSON, not reconstruction.
 func BenchmarkServerMarginalCached(b *testing.B) {
 	cq := NewCachedQuerier(benchServerSynopsis(b), qcache.New(1024, 64<<20))
-	handler := New(cq, 0)
+	handler := serveOne(cq, Options{})
 	// Warm the one hot key.
 	req := httptest.NewRequest(http.MethodGet, benchServerPath, nil)
 	rec := httptest.NewRecorder()

@@ -10,14 +10,6 @@ import (
 	"priview/internal/reconstruct"
 )
 
-// CacheStatser is implemented by Queriers that maintain a query cache;
-// the /v1/stats endpoint reads it. enabled is false when the underlying
-// querier keeps no cache (e.g. a Swappable currently holding a bare
-// synopsis).
-type CacheStatser interface {
-	CacheStats() (stats qcache.Stats, enabled bool)
-}
-
 // CacheOnlyQuerier is implemented by Queriers that can answer a query
 // from already-memoized state without running a solve. The brownout
 // serving mode depends on it: under sustained overload the server
@@ -124,7 +116,8 @@ func (c *CachedQuerier) QueryCached(attrs []int, method core.ReconstructMethod) 
 	return c.cache.Peek(key)
 }
 
-// CacheStats implements CacheStatser.
+// CacheStats snapshots the cache's counters. enabled is always true;
+// the signature is the one Metrics.WatchCacheGauges polls.
 func (c *CachedQuerier) CacheStats() (qcache.Stats, bool) {
 	return c.cache.Stats(), true
 }

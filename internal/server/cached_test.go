@@ -236,16 +236,17 @@ type designlessQuerier struct{ Querier }
 func (designlessQuerier) Design() *covering.Design { return nil }
 
 func TestStatsEndpoint(t *testing.T) {
-	// Without a cache: cache=false, counters zero.
 	s, _ := testServer(t)
 	rec := get(t, s, "/v1/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	var st struct {
-		Cache  bool   `json:"cache"`
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
+		Cache      bool `json:"cache"`
+		CacheStats struct {
+			Hits   uint64 `json:"hits"`
+			Misses uint64 `json:"misses"`
+		} `json:"cache_stats"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -254,10 +255,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Error("bare synopsis reports a cache")
 	}
 
-	// With a cache (behind a Swappable, as priview-serve wires it).
+	// With a cache, as priview-serve wires it.
 	cq, _, _ := cachedTestSetup(t)
-	swap := NewSwappable(cq)
-	cs := New(swap, 0)
+	cs := serveOne(cq, Options{})
 	for i := 0; i < 3; i++ {
 		if rec := get(t, cs, "/v1/marginal?attrs=0,4,8"); rec.Code != http.StatusOK {
 			t.Fatalf("marginal status = %d", rec.Code)
@@ -270,7 +270,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Cache || st.Misses != 1 || st.Hits != 2 {
+	if !st.Cache || st.CacheStats.Misses != 1 || st.CacheStats.Hits != 2 {
 		t.Errorf("stats = %+v, want cache=true, 1 miss, 2 hits", st)
 	}
 
@@ -290,7 +290,7 @@ func TestStatsEndpoint(t *testing.T) {
 // concurrency claim end to end.
 func TestCachedServerRaceStress(t *testing.T) {
 	cq, counting, syn := cachedTestSetup(t)
-	s := New(NewSwappable(cq), 0)
+	s := serveOne(cq, Options{})
 	attrSets := []string{"0,4,8", "1,5", "0,4,8", "2,6,7", "0,4,8", "3"}
 	methods := []string{"CME", "CLN", "CLP", "CME-dual"}
 	const workers = 12

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -87,18 +86,17 @@ type Resolver interface {
 	Ready() bool
 }
 
-// Multi is the multi-tenant HTTP front: named-release routes
-// (/v1/{release}/marginal|info|stats) resolved through a Resolver, with
-// the legacy unprefixed routes aliasing a configured default release.
-// The failure-model middleware (panic recovery, global shedding,
-// per-request deadline) is identical to the singleton Server's; the
-// per-release bulkheads, breakers and quotas live behind Acquire.
+// Multi is the HTTP front: named-release routes
+// (/v1/{release}/marginal|marginals|info|stats) resolved through a
+// Resolver, with the legacy unprefixed routes aliasing a configured
+// default release. The router owns the failure-model middleware (panic
+// recovery, admission control, per-request deadline); the per-release
+// bulkheads, breakers and quotas live behind Acquire.
 type Multi struct {
 	res      Resolver
 	def      string // default release for legacy routes; "" = none
 	mux      *http.ServeMux
 	opt      Options
-	inflight chan struct{} // global shed, on top of per-release bulkheads
 	ov       *overload
 	tel      *Metrics
 	draining atomic.Bool
@@ -106,7 +104,7 @@ type Multi struct {
 
 // NewMulti returns a router serving every release res resolves.
 // defaultRelease, when non-empty, is the release the legacy unprefixed
-// /v1/marginal, /v1/info and /v1/stats routes alias.
+// /v1/marginal, /v1/marginals, /v1/info and /v1/stats routes alias.
 func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 	if opt.MaxK <= 0 {
 		opt.MaxK = 12
@@ -125,45 +123,40 @@ func NewMulti(res Resolver, defaultRelease string, opt Options) *Multi {
 		reg = telemetry.NewRegistry()
 	}
 	m := &Multi{res: res, def: defaultRelease, mux: http.NewServeMux(), opt: opt, ov: newOverload(opt), tel: NewMetrics(reg)}
-	if opt.MaxInflight > 0 && m.ov.ctrl == nil {
-		m.inflight = make(chan struct{}, opt.MaxInflight)
-	}
+	// Instrumentation precedes traffic: the handle swaps are
+	// deliberately unsynchronized.
 	m.tel.instrumentOverload(m.ov)
-	// Routes are instrumented under their registered patterns, so the
-	// route label stays a closed set — release names never reach it
-	// (they label the registry's per-release series instead). Legacy
-	// aliases get their own instrumented wrapper under their own
-	// pattern; /metrics is deliberately uninstrumented.
-	m.mux.Handle("/metrics", m.recovered(reg.Handler()))
-	m.mux.Handle("/healthz", m.tel.instrumented("/healthz", m.recovered(http.HandlerFunc(m.handleHealth))))
-	m.mux.Handle("/readyz", m.tel.instrumented("/readyz", m.recovered(http.HandlerFunc(m.handleReady))))
-	m.mux.Handle("/v1/releases", m.tel.instrumented("/v1/releases", m.recovered(http.HandlerFunc(m.handleReleases))))
-	// Named-release routes plus the legacy aliases. Order of middleware
-	// matches the singleton server: shed before arming the deadline.
-	inner := m.ov.deadlined(http.HandlerFunc(m.handleMarginal))
-	var marginal http.Handler
-	if m.ov.ctrl != nil {
-		marginal = m.recovered(m.ov.admitted(inner, m.tryCacheOnly))
-	} else {
-		marginal = m.recovered(m.shedding(inner))
+	// Every route gets panic recovery. Routes are instrumented under
+	// their registered patterns, so the route label stays a closed set —
+	// release names never reach it (they label the registry's
+	// per-release series instead). Legacy aliases get their own
+	// instrumented wrapper under their own pattern; the outermost
+	// instrumentation counts recovered panics as the 500s they answer.
+	// /metrics is deliberately uninstrumented: a scrape should not
+	// perturb the series it reads.
+	route := func(pattern string, h http.Handler) {
+		m.mux.Handle(pattern, m.tel.instrumented(pattern, h))
 	}
-	m.mux.Handle("/v1/{release}/marginal", m.tel.instrumented("/v1/{release}/marginal", marginal))
-	m.mux.Handle("/v1/marginal", m.tel.instrumented("/v1/marginal", marginal))
-	innerBatch := m.ov.deadlined(http.HandlerFunc(m.handleMarginals))
-	var marginals http.Handler
-	if m.ov.ctrl != nil {
-		marginals = m.recovered(m.ov.admitted(innerBatch, m.tryCacheOnly))
-	} else {
-		marginals = m.recovered(m.shedding(innerBatch))
+	m.mux.Handle("/metrics", recovered(opt.Logger, reg.Handler()))
+	route("/healthz", recovered(opt.Logger, http.HandlerFunc(m.handleHealth)))
+	route("/readyz", recovered(opt.Logger, http.HandlerFunc(m.handleReady)))
+	route("/v1/releases", recovered(opt.Logger, http.HandlerFunc(m.handleReleases)))
+	// The marginal routes are admitted before the deadline is armed: a
+	// request refused for capacity should not consume any of its
+	// reconstruction budget. The batch route's deadline *gate* (as
+	// opposed to the armed timeout) runs inside its handler, size-scaled
+	// to the parsed batch.
+	marginal := recovered(opt.Logger, m.admitted(m.ov.deadlined(http.HandlerFunc(m.handleMarginal))))
+	marginals := recovered(opt.Logger, m.admitted(m.ov.deadlined(http.HandlerFunc(m.handleMarginals))))
+	info := recovered(opt.Logger, http.HandlerFunc(m.handleInfo))
+	stats := recovered(opt.Logger, http.HandlerFunc(m.handleStats))
+	for _, r := range []struct {
+		name string
+		h    http.Handler
+	}{{"marginal", marginal}, {"marginals", marginals}, {"info", info}, {"stats", stats}} {
+		route("/v1/{release}/"+r.name, r.h)
+		route("/v1/"+r.name, r.h)
 	}
-	m.mux.Handle("/v1/{release}/marginals", m.tel.instrumented("/v1/{release}/marginals", marginals))
-	m.mux.Handle("/v1/marginals", m.tel.instrumented("/v1/marginals", marginals))
-	info := m.recovered(http.HandlerFunc(m.handleInfo))
-	m.mux.Handle("/v1/{release}/info", m.tel.instrumented("/v1/{release}/info", info))
-	m.mux.Handle("/v1/info", m.tel.instrumented("/v1/info", info))
-	stats := m.recovered(http.HandlerFunc(m.handleStats))
-	m.mux.Handle("/v1/{release}/stats", m.tel.instrumented("/v1/{release}/stats", stats))
-	m.mux.Handle("/v1/stats", m.tel.instrumented("/v1/stats", stats))
 	return m
 }
 
@@ -177,11 +170,22 @@ func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mux.ServeHTTP(w, r)
 }
 
-// SetDraining flips the draining state (see Server.SetDraining).
+// SetDraining flips the draining state: while draining, /healthz and
+// /readyz answer 503 so load balancers take the instance out of
+// rotation before Shutdown closes the listener. Safe for concurrent use.
 func (m *Multi) SetDraining(v bool) { m.draining.Store(v) }
 
 // Draining reports whether the router is refusing its health probe.
 func (m *Multi) Draining() bool { return m.draining.Load() }
+
+// admitted gates h behind the adaptive admission controller, or returns
+// it ungated when Options.Admission is unset.
+func (m *Multi) admitted(h http.Handler) http.Handler {
+	if m.ov.ctrl == nil {
+		return h
+	}
+	return m.ov.admitted(h, m.tryCacheOnly)
+}
 
 // AdmissionStats snapshots the router-wide overload-control counters
 // (the same object /v1/releases serves), or nil when no overload
@@ -320,7 +324,8 @@ func (m *Multi) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // releasesResponse lists the registered releases plus the router-wide
-// admission snapshot (omitted for a legacy semaphore configuration).
+// admission snapshot (omitted when no admission control is configured
+// and nothing has engaged it).
 // The admission stats live here rather than on the per-release stats
 // route because the controller gates the whole router, not one tenant.
 type releasesResponse struct {
@@ -371,37 +376,4 @@ func (m *Multi) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 	//lint:ignore errdiscard health-probe response; a client that hung up cannot be told about it
 	fmt.Fprintln(w, "ready")
-}
-
-// recovered and shedding mirror the singleton Server's middleware; the
-// multi router keeps its own copies because its shedding is the
-// *global* backstop — per-release bulkheads are the Resolver's job.
-// The deadline middleware is the shared overload.deadlined.
-func (m *Multi) recovered(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				m.opt.Logger.Printf("server: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-				http.Error(w, "internal error", http.StatusInternalServerError)
-			}
-		}()
-		h.ServeHTTP(w, r)
-	})
-}
-
-func (m *Multi) shedding(h http.Handler) http.Handler {
-	if m.inflight == nil {
-		return h
-	}
-	retryAfter := retryAfterSeconds(m.opt.RetryAfter)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case m.inflight <- struct{}{}:
-			defer func() { <-m.inflight }()
-			h.ServeHTTP(w, r)
-		default:
-			w.Header().Set("Retry-After", retryAfter)
-			http.Error(w, "server at capacity, retry later", http.StatusTooManyRequests)
-		}
-	})
 }

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/core"
 	"priview/internal/marginal"
+	"priview/internal/qcache"
 )
 
 // fakeLease wraps a Querier and counts Close calls.
@@ -22,6 +24,31 @@ type fakeLease struct {
 }
 
 func (l *fakeLease) Close() { l.closed.Add(1) }
+
+// The optional query surfaces are forwarded explicitly, as the
+// registry's lease does: an embedded interface value does not surface
+// them to type assertions on the lease.
+
+func (l *fakeLease) QueryCached(attrs []int, method core.ReconstructMethod) (*marginal.Table, bool) {
+	if cq, ok := l.Querier.(CacheOnlyQuerier); ok {
+		return cq.QueryCached(attrs, method)
+	}
+	return nil, false
+}
+
+func (l *fakeLease) QueryBatch(ctx context.Context, reqs []core.BatchRequest, opt core.BatchOptions) ([]core.BatchResult, error) {
+	return queryBatch(ctx, l.Querier, reqs, opt)
+}
+
+func (l *fakeLease) DefaultMethod() core.ReconstructMethod { return defaultMethod(l.Querier) }
+
+// fakeStats mirrors the cache fields of the registry's per-release
+// stats object.
+type fakeStats struct {
+	Name       string       `json:"name"`
+	Cache      bool         `json:"cache"`
+	CacheStats qcache.Stats `json:"cache_stats"`
+}
 
 // fakeResolver resolves a fixed map of releases, optionally failing
 // some with a configured error.
@@ -44,11 +71,15 @@ func (f *fakeResolver) Acquire(ctx context.Context, name string) (Lease, error) 
 }
 
 func (f *fakeResolver) ReleaseStats(name string) (any, error) {
-	if _, ok := f.leases[name]; ok {
-		return map[string]string{"name": name}, nil
+	if l, ok := f.leases[name]; ok {
+		st := fakeStats{Name: name}
+		if cq, ok := l.Querier.(*CachedQuerier); ok {
+			st.CacheStats, st.Cache = cq.CacheStats()
+		}
+		return st, nil
 	}
 	if _, ok := f.errs[name]; ok {
-		return map[string]string{"name": name}, nil
+		return fakeStats{Name: name}, nil
 	}
 	return nil, ErrUnknownRelease
 }
@@ -196,43 +227,59 @@ func TestMultiReleasesEndpoint(t *testing.T) {
 	}
 }
 
-// TestMultiGlobalShedding proves the router-level inflight cap is the
-// backstop above per-release bulkheads: the second concurrent request
-// sheds with 429 + Retry-After.
+// TestMultiGlobalShedding proves the router-level admission controller
+// is the backstop above per-release bulkheads: with concurrency 1 and a
+// queue of 1 full, the next concurrent request sheds with 429 +
+// Retry-After.
 func TestMultiGlobalShedding(t *testing.T) {
 	_, _, syn := cachedTestSetup(t)
 	gate := make(chan struct{})
 	blocking := &fakeLease{Querier: &gatedQuerier{Querier: syn, gate: gate}}
 	res := &fakeResolver{leases: map[string]*fakeLease{"a": blocking}, ready: true}
-	m := NewMulti(res, "", Options{MaxK: 6, MaxInflight: 1, Logger: log.New(io.Discard, "", 0)})
+	m := NewMulti(res, "", Options{
+		MaxK:   6,
+		Logger: log.New(io.Discard, "", 0),
+		// The hour-long target keeps CoDel from shedding the queued
+		// request: only the full queue sheds.
+		Admission: &admission.Config{TargetDelay: time.Hour, InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
+	})
 	ts := httptest.NewServer(m)
 	defer ts.Close()
 
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/a/marginal?attrs=0,1")
+	errc := make(chan error, 2)
+	bgGet := func(path string) {
+		resp, err := http.Get(ts.URL + path)
 		if err == nil {
 			resp.Body.Close()
 		}
 		errc <- err
-	}()
+	}
+	go bgGet("/v1/a/marginal?attrs=0,1")
 	// Wait until the first request is parked inside the querier, holding
-	// the only inflight slot.
+	// the only slot, then until the second waits in the queue.
 	gate <- struct{}{}
+	go bgGet("/v1/a/marginal?attrs=1,2")
+	for m.AdmissionStats().QueueDepth != 1 {
+		time.Sleep(time.Millisecond)
+	}
 	resp, err := http.Get(ts.URL + "/v1/a/marginal?attrs=2,3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("second concurrent request = %d, want 429", resp.StatusCode)
+		t.Errorf("request past the full queue = %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response carries no Retry-After")
 	}
 	gate <- struct{}{} // release the parked request
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	gate <- struct{}{} // the queued one enters the querier…
+	gate <- struct{}{} // …and is released
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -54,19 +54,17 @@ func parseDeadlineMs(v string) (time.Duration, bool) {
 	return d, true
 }
 
-// overload bundles the overload-control machinery shared by the
-// singleton Server and the multi-tenant router: the adaptive admission
-// controller (nil when Options.Admission is unset, in which case the
-// owner keeps its legacy instant-shed semaphore), the per-method
-// service-time EWMA feeding the deadline gate, and the brownout
-// detector. The counters are the middleware-owned half of the
+// overload bundles the router's overload-control machinery: the
+// adaptive admission controller (nil when Options.Admission is unset),
+// the per-method service-time EWMA feeding the deadline gate, and the
+// brownout detector. The counters are the middleware-owned half of the
 // admission.Stats snapshot; they start standalone and
 // Metrics.instrumentOverload swaps them for registry-backed series
 // before traffic, so /metrics and the JSON stats read one set of
 // numbers.
 type overload struct {
 	opt   Options
-	ctrl  *admission.Controller // nil = legacy semaphore shedding
+	ctrl  *admission.Controller // nil = no admission control
 	svc   *admission.ServiceTime
 	brown *admission.Brownout // nil = brownout disabled
 
@@ -84,18 +82,7 @@ func newOverload(opt Options) *overload {
 		brownoutRejected: telemetry.NewCounter(),
 	}
 	if opt.Admission != nil {
-		cfg := *opt.Admission
-		// MaxInflight keeps its meaning as the hard concurrency ceiling;
-		// the controller searches below it and queues up to it.
-		if opt.MaxInflight > 0 {
-			if cfg.MaxLimit <= 0 {
-				cfg.MaxLimit = opt.MaxInflight
-			}
-			if cfg.MaxQueue <= 0 {
-				cfg.MaxQueue = opt.MaxInflight
-			}
-		}
-		o.ctrl = admission.NewController(cfg)
+		o.ctrl = admission.NewController(*opt.Admission)
 		if opt.Brownout != nil {
 			o.brown = admission.NewBrownout(*opt.Brownout)
 		}
@@ -288,8 +275,8 @@ func (o *overload) serveCacheOnlyBatch(w http.ResponseWriter, r *http.Request, q
 
 // stats merges the middleware-owned counters into the controller's
 // snapshot. nil when the adaptive controller is disabled and the
-// deadline gate has rejected nothing — the stats surfaces omit the
-// admission object entirely for a plain legacy configuration.
+// deadline gate has rejected nothing — /v1/releases then omits the
+// admission object entirely.
 func (o *overload) stats() *admission.Stats {
 	var st admission.Stats
 	if o.ctrl != nil {

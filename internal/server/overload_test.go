@@ -115,7 +115,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	hq.hold.Store(true)
-	s := NewWithOptions(hq, Options{
+	s := serveOne(hq, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  &admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
@@ -183,7 +183,7 @@ func TestAdaptiveAdmissionQueuesThenSheds(t *testing.T) {
 // with ample budget still runs.
 func TestDeadlineGateFastFails504(t *testing.T) {
 	_, syn := testServer(t)
-	s := NewWithOptions(syn, Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
+	s := serveOne(syn, Options{QueryTimeout: 5 * time.Second, Logger: discardLogger()})
 	s.ov.svc.Observe(int(core.CME), 200*time.Millisecond)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -208,9 +208,9 @@ func TestDeadlineGateFastFails504(t *testing.T) {
 		t.Fatalf("well-budgeted request: status %d; body %q", rec.Code, rec.Body.String())
 	}
 
-	// The deadline gate's counter surfaces even in a legacy (semaphore)
-	// configuration, where the admission object exists just for it.
-	stats := get(t, s, "/v1/stats")
+	// The deadline gate's counter surfaces even without the adaptive
+	// controller, where the admission object exists just for it.
+	stats := get(t, s, "/v1/releases")
 	var resp struct {
 		Admission *admission.Stats `json:"admission"`
 	}
@@ -229,7 +229,7 @@ func TestDeadlineHeaderArmsBudget(t *testing.T) {
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 1), release: make(chan struct{})}
 	hq.hold.Store(true)
 	defer close(hq.release)
-	s := NewWithOptions(hq, Options{Logger: discardLogger()})
+	s := serveOne(hq, Options{Logger: discardLogger()})
 
 	start := time.Now()
 	req := httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil)
@@ -251,7 +251,7 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 	_, base := testServer(t)
 	hq := &holdQuerier{Querier: base, arrived: make(chan struct{}, 16), release: make(chan struct{})}
 	cached := NewCachedQuerier(hq, qcache.New(128, 0))
-	s := NewWithOptions(cached, Options{
+	s := serveOne(cached, Options{
 		RetryAfter: time.Second,
 		Logger:     discardLogger(),
 		Admission:  &admission.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1},
@@ -317,8 +317,8 @@ func TestBrownoutServesCacheHitsOnly(t *testing.T) {
 		t.Errorf("priority query: status %d, want 429 (normal admission); body %q", prioRec.Code, prioRec.Body.String())
 	}
 
-	var stats statsResponse
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
+	var stats releasesResponse
+	if err := json.Unmarshal(get(t, s, "/v1/releases").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Admission == nil || stats.Admission.BrownoutServed < 1 ||

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/chaos"
 	"priview/internal/core"
 	"priview/internal/covering"
@@ -41,7 +42,7 @@ func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 // magnitude — not after the solver's full iteration budget.
 func TestQueryTimeoutReturns504(t *testing.T) {
 	slow := &chaos.SlowSynopsis{Querier: buildSynopsis(t), Delay: 10 * time.Second}
-	s := server.NewWithOptions(slow, server.Options{
+	s := server.ServeOne(slow, server.Options{
 		QueryTimeout: 30 * time.Millisecond,
 		Logger:       quietLogger(),
 	})
@@ -77,42 +78,56 @@ func (p *parkedQuerier) QueryMethodContext(ctx context.Context, attrs []int, m c
 	return p.Querier.QueryMethodContext(ctx, attrs, m)
 }
 
-// TestLoadSheddingReturns429: with MaxInflight=1 and a request parked
-// inside the handler, the next request is shed immediately with 429 and
-// a Retry-After hint; once the first completes, capacity frees up.
+// TestLoadSheddingReturns429: with the admission controller at
+// concurrency 1 and a queue of 1, a request parked inside the handler
+// holds the slot, the next waits in the queue, and the one after is
+// shed immediately with 429 and a Retry-After hint; once the slot
+// frees, the queued request and fresh ones are admitted.
 func TestLoadSheddingReturns429(t *testing.T) {
 	parked := &parkedQuerier{
 		Querier: buildSynopsis(t),
 		arrived: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	s := server.NewWithOptions(parked, server.Options{
-		MaxInflight: 1,
-		RetryAfter:  2 * time.Second,
-		Logger:      quietLogger(),
+	s := server.ServeOne(parked, server.Options{
+		Logger: quietLogger(),
+		// A target delay far above the test's length keeps CoDel from
+		// shedding the queued request: only the full queue sheds.
+		Admission: &admission.Config{
+			TargetDelay: time.Hour, InitialLimit: 1, MinLimit: 1, MaxLimit: 1, MaxQueue: 1,
+		},
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	first := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/marginal?attrs=0,1")
+	bgGet := func(path string, codes chan<- int) {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
-			first <- -1
+			codes <- -1
 			return
 		}
 		//lint:ignore errdiscard test teardown of a drained body
 		resp.Body.Close()
-		first <- resp.StatusCode
-	}()
+		codes <- resp.StatusCode
+	}
+	first, queued := make(chan int, 1), make(chan int, 1)
+	go bgGet("/v1/marginal?attrs=0,1", first)
 	select {
 	case <-parked.arrived:
 		// Capacity 1 is now provably consumed.
 	case <-time.After(10 * time.Second):
 		t.Fatal("first request never reached the synopsis")
 	}
+	go bgGet("/v1/marginal?attrs=2,3", queued)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.AdmissionStats().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-	resp, err := http.Get(ts.URL + "/v1/marginal?attrs=2,3")
+	resp, err := http.Get(ts.URL + "/v1/marginal?attrs=4,5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +141,20 @@ func TestLoadSheddingReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: status %d, want 429; body %q", resp.StatusCode, body)
 	}
+	// The hint scales with queue depth: 1s × (1 + 1 queued / limit 1).
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", got)
 	}
-	if !strings.Contains(string(body), "capacity") {
+	if !strings.Contains(string(body), "overloaded") {
 		t.Errorf("shed body = %q", body)
 	}
 
 	close(parked.release)
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("first (admitted) request: status %d", code)
+	}
+	if code := <-queued; code != http.StatusOK {
+		t.Errorf("queued request: status %d", code)
 	}
 	// Capacity released: a fresh request is admitted again.
 	resp2, err := http.Get(ts.URL + "/v1/marginal?attrs=4,5")
@@ -160,7 +179,7 @@ func (panicQuerier) QueryMethodContext(context.Context, []int, core.ReconstructM
 // TestPanicReturns500: internal panics are server bugs and must report
 // as 500, never as the 400 "query failed" the old handler produced.
 func TestPanicReturns500(t *testing.T) {
-	s := server.NewWithOptions(panicQuerier{buildSynopsis(t)}, server.Options{Logger: quietLogger()})
+	s := server.ServeOne(panicQuerier{buildSynopsis(t)}, server.Options{Logger: quietLogger()})
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/marginal?attrs=0,1", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -174,9 +193,9 @@ func TestPanicReturns500(t *testing.T) {
 // TestValidationStays400: the 400 path is reserved for input errors and
 // must be unaffected by the failure-model middleware.
 func TestValidationStays400(t *testing.T) {
-	s := server.NewWithOptions(buildSynopsis(t), server.Options{
+	s := server.ServeOne(buildSynopsis(t), server.Options{
 		QueryTimeout: time.Second,
-		MaxInflight:  4,
+		Admission:    &admission.Config{MaxLimit: 4, MaxQueue: 4},
 		Logger:       quietLogger(),
 	})
 	for _, path := range []string{
@@ -196,7 +215,7 @@ func TestValidationStays400(t *testing.T) {
 // TestHealthzDraining: the liveness probe flips to 503 while draining
 // and back once draining is cleared.
 func TestHealthzDraining(t *testing.T) {
-	s := server.New(buildSynopsis(t), 0)
+	s := server.ServeOne(buildSynopsis(t), server.Options{})
 	probe := func() int {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -223,7 +242,7 @@ func TestHealthzDraining(t *testing.T) {
 // connection level, the retrying client still completes every query,
 // and the transport's counters prove faults were actually injected.
 func TestClientRecoversFromInjectedFaults(t *testing.T) {
-	s := server.New(buildSynopsis(t), 0)
+	s := server.ServeOne(buildSynopsis(t), server.Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -254,7 +273,7 @@ func TestClientRecoversFromInjectedFaults(t *testing.T) {
 func TestClientRecoversFromInjectedStatuses(t *testing.T) {
 	var mu sync.Mutex
 	failures := 2
-	s := server.New(buildSynopsis(t), 0)
+	s := server.ServeOne(buildSynopsis(t), server.Options{})
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		shouldFail := failures > 0
@@ -341,7 +360,7 @@ func TestEndToEndResilience(t *testing.T) {
 	syn := buildSynopsis(t)
 	var mu sync.Mutex
 	slowRequests := 2
-	var gate http.Handler = server.NewWithOptions(
+	var gate http.Handler = server.ServeOne(
 		&flipQuerier{fast: syn, slow: &chaos.SlowSynopsis{Querier: syn, Delay: 10 * time.Second}, slowLeft: &slowRequests, mu: &mu},
 		server.Options{QueryTimeout: 25 * time.Millisecond, Logger: quietLogger()},
 	)

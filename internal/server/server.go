@@ -1,26 +1,27 @@
-// Package server exposes a published PriView synopsis over HTTP. Since
-// a synopsis is a differentially private object, serving unlimited
+// Package server exposes published PriView synopses over HTTP. Since a
+// synopsis is a differentially private object, serving unlimited
 // marginal queries from it costs no additional privacy budget (the
 // post-processing property) — the server is a pure, stateless query
 // engine suitable for public deployment.
 //
-// The serving path has an explicit failure model: per-request deadlines
-// (504 on expiry), load shedding (429 + Retry-After when saturated),
-// panic recovery (500 with a logged stack), and a draining state that
-// flips /healthz to 503 so load balancers stop routing to an instance
-// that is shutting down.
+// There is one serving front, Multi: named-release routes resolved
+// through a Resolver (internal/registry implements it), with the legacy
+// unprefixed routes aliasing a default release. A single synopsis is
+// served as a registry holding one release.
 //
-// Shedding comes in two grades. The default is a plain semaphore:
-// MaxInflight concurrent queries, instant 429 past that. Setting
-// Options.Admission upgrades it to the adaptive controller from
-// internal/admission — a bounded queue absorbs bursts, CoDel-style
-// sojourn control sheds from the queue when delay stands above target,
-// an AIMD search adapts the concurrency limit to the latency gradient,
-// and requests arriving with less remaining deadline (propagated via
-// X-Priview-Deadline-Ms) than the method's expected service time are
-// fast-failed instead of admitted. Options.Brownout additionally
-// degrades non-priority traffic to cache-hits-only under sustained
-// overload.
+// The serving path has an explicit failure model: per-request deadlines
+// (504 on expiry), panic recovery (500 with a logged stack), a draining
+// state that flips /healthz and /readyz to 503 so load balancers stop
+// routing to an instance that is shutting down, and — when
+// Options.Admission is set — the adaptive admission controller from
+// internal/admission: a bounded queue absorbs bursts, CoDel-style
+// sojourn control sheds from the queue (429 + Retry-After) when delay
+// stands above target, an AIMD search adapts the concurrency limit to
+// the latency gradient, and requests arriving with less remaining
+// deadline (propagated via X-Priview-Deadline-Ms) than the method's
+// expected service time are fast-failed instead of admitted.
+// Options.Brownout additionally degrades non-priority traffic to
+// cache-hits-only under sustained overload.
 package server
 
 import (
@@ -34,14 +35,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"priview/internal/admission"
 	"priview/internal/core"
 	"priview/internal/covering"
 	"priview/internal/marginal"
-	"priview/internal/qcache"
 	"priview/internal/reconstruct"
 	"priview/internal/telemetry"
 )
@@ -65,7 +64,8 @@ type Querier interface {
 const statusClientClosedRequest = 499
 
 // Options configures the failure model around the query path. The zero
-// value disables deadlines and shedding, matching the bare handler.
+// value disables deadlines and admission control, matching the bare
+// handler.
 type Options struct {
 	// MaxK bounds the marginal size a single request may ask for (≤ 0
 	// selects the default of 12).
@@ -73,10 +73,6 @@ type Options struct {
 	// QueryTimeout is the per-request reconstruction deadline; requests
 	// exceeding it fail with 504. ≤ 0 disables the deadline.
 	QueryTimeout time.Duration
-	// MaxInflight caps concurrently served marginal queries; excess
-	// requests are shed immediately with 429 + Retry-After. ≤ 0
-	// disables shedding.
-	MaxInflight int
 	// RetryAfter is the hint written on shed responses (default 1s,
 	// rounded up to whole seconds as the header requires).
 	RetryAfter time.Duration
@@ -86,12 +82,10 @@ type Options struct {
 	// BatchWorkers bounds the solver goroutines one batch may fan over
 	// (core.BatchOptions.Workers); ≤ 0 selects GOMAXPROCS.
 	BatchWorkers int
-	// Admission, when non-nil, replaces the instant-429 semaphore with
-	// the adaptive admission controller (bounded queue + CoDel sojourn
-	// control + AIMD concurrency limit) and arms the deadline gate fed
-	// by the per-method service-time EWMA. MaxInflight then seeds the
-	// controller's MaxLimit and MaxQueue defaults instead of sizing a
-	// semaphore.
+	// Admission, when non-nil, gates the marginal routes behind the
+	// adaptive admission controller (bounded queue + CoDel sojourn
+	// control + AIMD concurrency limit; shed requests get 429 +
+	// Retry-After). nil admits everything.
 	Admission *admission.Config
 	// Brownout, when non-nil (and Admission set), serves non-priority
 	// traffic from cache hits only under sustained overload.
@@ -111,153 +105,19 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// Server wraps a synopsis with HTTP handlers.
-type Server struct {
-	syn      Querier
-	mux      *http.ServeMux
-	opt      Options
-	inflight chan struct{} // nil when semaphore shedding is disabled
-	ov       *overload
-	tel      *Metrics
-	draining atomic.Bool
-}
-
-// New returns a server for the synopsis with default options. maxK
-// bounds the marginal size a single request may ask for (≤ 0 selects
-// the default of 12).
-func New(syn Querier, maxK int) *Server {
-	return NewWithOptions(syn, Options{MaxK: maxK})
-}
-
-// NewWithOptions returns a server with an explicit failure model.
-func NewWithOptions(syn Querier, opt Options) *Server {
-	if opt.MaxK <= 0 {
-		opt.MaxK = 12
-	}
-	if opt.RetryAfter <= 0 {
-		opt.RetryAfter = time.Second
-	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = 256
-	}
-	if opt.Logger == nil {
-		opt.Logger = log.Default()
-	}
-	reg := opt.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	s := &Server{syn: syn, mux: http.NewServeMux(), opt: opt, ov: newOverload(opt), tel: NewMetrics(reg)}
-	if opt.MaxInflight > 0 && s.ov.ctrl == nil {
-		s.inflight = make(chan struct{}, opt.MaxInflight)
-	}
-	// Instrumentation precedes traffic: the handle swaps below are
-	// deliberately unsynchronized. The singleton serves one release, so
-	// its cache and warm series use the conventional "default" label.
-	s.tel.instrumentOverload(s.ov)
-	if cq, ok := syn.(*CachedQuerier); ok {
-		s.tel.InstrumentCache("default", cq)
-	}
-	if cs, ok := syn.(CacheStatser); ok {
-		s.tel.WatchCacheGauges("default", cs.CacheStats)
-	}
-	// The health probe gets the same panic recovery as every other
-	// route: a panicking Querier reachable from the health path must
-	// answer 500, not kill the probe's response mid-flight. The
-	// per-route instrumentation sits outermost so recovered panics
-	// count as the 500s they answer; /metrics itself is deliberately
-	// uninstrumented — a scrape should not perturb the series it reads.
-	s.mux.Handle("/metrics", s.recovered(reg.Handler()))
-	s.mux.Handle("/healthz", s.tel.instrumented("/healthz", s.recovered(http.HandlerFunc(s.handleHealth))))
-	s.mux.Handle("/v1/info", s.tel.instrumented("/v1/info", s.recovered(http.HandlerFunc(s.handleInfo))))
-	s.mux.Handle("/v1/stats", s.tel.instrumented("/v1/stats", s.recovered(http.HandlerFunc(s.handleStats))))
-	// Shed before arming the deadline: a request rejected for capacity
-	// should not consume any of its reconstruction budget.
-	inner := s.ov.deadlined(http.HandlerFunc(s.handleMarginal))
-	var gated http.Handler
-	if s.ov.ctrl != nil {
-		gated = s.ov.admitted(inner, s.tryCacheOnly)
-	} else {
-		gated = s.shedding(inner)
-	}
-	s.mux.Handle("/v1/marginal", s.tel.instrumented("/v1/marginal", s.recovered(gated)))
-	// The batch route shares the single-query failure model: shed, then
-	// arm the deadline, then solve. The deadline *gate* (as opposed to
-	// the armed timeout) runs inside the handler, size-scaled to the
-	// parsed batch.
-	innerBatch := s.ov.deadlined(http.HandlerFunc(s.handleMarginals))
-	var gatedBatch http.Handler
-	if s.ov.ctrl != nil {
-		gatedBatch = s.ov.admitted(innerBatch, s.tryCacheOnly)
-	} else {
-		gatedBatch = s.shedding(innerBatch)
-	}
-	s.mux.Handle("/v1/marginals", s.tel.instrumented("/v1/marginals", s.recovered(gatedBatch)))
-	return s
-}
-
-// Metrics exposes the server's telemetry handle set — the same object
-// GET /metrics serves — so owners can wire further subsystems (a
-// client, a release registry) onto the shared registry.
-func (s *Server) Metrics() *Metrics { return s.tel }
-
-// tryCacheOnly is the brownout hook: serve the marginal from the
-// synopsis's memoized cache alone, or refuse.
-func (s *Server) tryCacheOnly(w http.ResponseWriter, r *http.Request) bool {
-	return s.ov.serveCacheOnly(w, r, s.syn)
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// SetDraining flips the draining state: while draining, /healthz
-// answers 503 so load balancers take the instance out of rotation
-// before Shutdown closes the listener. Safe for concurrent use.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is refusing its health probe.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// AdmissionStats snapshots the overload-control counters (the same
-// object /v1/stats serves), or nil when no overload machinery has
-// engaged. For operator logging.
-func (s *Server) AdmissionStats() *admission.Stats { return s.ov.stats() }
-
 // recovered converts handler panics into 500s with a logged stack.
 // Panics are internal failures; without this they would tear down the
 // whole connection (net/http's default) or, worse, be mislabeled as
 // client errors.
-func (s *Server) recovered(h http.Handler) http.Handler {
+func recovered(logger *log.Logger, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.opt.Logger.Printf("server: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
+				logger.Printf("server: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
 				http.Error(w, "internal error", http.StatusInternalServerError)
 			}
 		}()
 		h.ServeHTTP(w, r)
-	})
-}
-
-// shedding admits at most MaxInflight concurrent requests and rejects
-// the rest immediately with 429 + Retry-After — under overload, fast
-// rejection keeps latency bounded for the requests that are admitted.
-func (s *Server) shedding(h http.Handler) http.Handler {
-	if s.inflight == nil {
-		return h
-	}
-	retryAfter := retryAfterSeconds(s.opt.RetryAfter)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-			h.ServeHTTP(w, r)
-		default:
-			w.Header().Set("Retry-After", retryAfter)
-			http.Error(w, "server at capacity, retry later", http.StatusTooManyRequests)
-		}
 	})
 }
 
@@ -271,20 +131,6 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		// Like the 429 shed path, the drain refusal carries a backoff
-		// hint; without it retrying clients hammer an instance that is
-		// trying to go away.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opt.RetryAfter))
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	//lint:ignore errdiscard health-probe response; a client that hung up cannot be told about it
-	fmt.Fprintln(w, "ok")
-}
-
 // infoResponse describes the published synopsis.
 type infoResponse struct {
 	Epsilon float64 `json:"epsilon"`
@@ -295,13 +141,7 @@ type infoResponse struct {
 	MaxK    int     `json:"max_k"`
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	serveInfo(w, r, s.syn, s.opt.MaxK, s.opt.Logger)
-}
-
-// serveInfo answers an info request from q. Shared between the
-// singleton Server and the multi-tenant router, which resolves q per
-// release.
+// serveInfo answers an info request from q, the resolved release.
 func serveInfo(w http.ResponseWriter, r *http.Request, q Querier, maxK int, logger *log.Logger) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -320,31 +160,6 @@ func serveInfo(w http.ResponseWriter, r *http.Request, q Querier, maxK int, logg
 	writeJSON(w, logger, resp)
 }
 
-// statsResponse reports the query cache's counters and, when overload
-// control is active, the admission controller's snapshot. Cache is
-// false (and the counters zero) when the served Querier maintains no
-// cache; Admission is omitted for a legacy semaphore configuration.
-type statsResponse struct {
-	Cache bool `json:"cache"`
-	qcache.Stats
-	Admission *admission.Stats `json:"admission,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	resp := statsResponse{}
-	if cs, ok := s.syn.(CacheStatser); ok {
-		if st, enabled := cs.CacheStats(); enabled {
-			resp = statsResponse{Cache: true, Stats: st}
-		}
-	}
-	resp.Admission = s.ov.stats()
-	s.writeJSON(w, resp)
-}
-
 // marginalResponse is a reconstructed marginal table. Degraded marks
 // answers produced by the numerical fallback chain (a poisoned view or
 // an unstable solver was bypassed); the cells are finite and usable but
@@ -357,26 +172,8 @@ type marginalResponse struct {
 	Degraded bool      `json:"degraded,omitempty"`
 }
 
-func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
-	serveMarginal(w, r, s.syn, s.env())
-}
-
-func (s *Server) handleMarginals(w http.ResponseWriter, r *http.Request) {
-	serveMarginals(w, r, s.syn, batchEnv{
-		serveEnv: s.env(),
-		ov:       s.ov,
-		maxBatch: s.opt.MaxBatch,
-		workers:  s.opt.BatchWorkers,
-	})
-}
-
-func (s *Server) env() serveEnv {
-	return serveEnv{maxK: s.opt.MaxK, logger: s.opt.Logger, svc: s.ov.svc, tel: s.tel, slow: s.opt.SlowQuery}
-}
-
 // serveEnv carries the serving context serveMarginal needs beyond the
-// Querier itself; both the singleton Server and the multi-tenant router
-// assemble one from their own options.
+// Querier itself, assembled from the router's options.
 type serveEnv struct {
 	maxK   int
 	logger *log.Logger
@@ -386,8 +183,7 @@ type serveEnv struct {
 }
 
 // serveMarginal validates, reconstructs and answers one marginal query
-// against q. Shared between the singleton Server and the multi-tenant
-// router, which resolves q per release.
+// against q, the resolved release.
 func serveMarginal(w http.ResponseWriter, r *http.Request, q Querier, env serveEnv) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -506,10 +302,6 @@ func parseAttrs(raw string) ([]int, error) {
 	}
 	sort.Ints(attrs)
 	return attrs, nil
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v interface{}) {
-	writeJSON(w, s.opt.Logger, v)
 }
 
 func writeJSON(w http.ResponseWriter, logger *log.Logger, v interface{}) {

@@ -15,15 +15,27 @@ import (
 	"priview/internal/noise"
 )
 
-func testServer(t *testing.T) (*Server, *core.Synopsis) {
+func testServer(t *testing.T) (*Multi, *core.Synopsis) {
 	t.Helper()
 	data := synth.MSNBC(5000, 1)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(2))
-	return New(syn, 0), syn
+	return serveOne(syn, Options{}), syn
 }
 
-func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+// serveOne fronts q the way priview-serve's -synopsis and -store modes
+// do: a router over one release named "default", which the unprefixed
+// routes alias, with its cache series labeled release="default".
+func serveOne(q Querier, opt Options) *Multi {
+	m := NewMulti(&fakeResolver{leases: map[string]*fakeLease{"default": {Querier: q}}, ready: true}, "default", opt)
+	if cq, ok := q.(*CachedQuerier); ok {
+		m.Metrics().InstrumentCache("default", cq)
+		m.Metrics().WatchCacheGauges("default", cq.CacheStats)
+	}
+	return m
+}
+
+func get(t *testing.T, s http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()
@@ -146,7 +158,7 @@ func TestMarginalMaxK(t *testing.T) {
 	data := synth.MSNBC(2000, 2)
 	dg := covering.Groups(9, 6)
 	syn := core.BuildSynopsis(data, core.Config{Epsilon: 1, Design: dg}, noise.NewStream(3))
-	s := New(syn, 2)
+	s := serveOne(syn, Options{MaxK: 2})
 	if rec := get(t, s, "/v1/marginal?attrs=0,1,2"); rec.Code != http.StatusBadRequest {
 		t.Errorf("k=3 accepted with maxK=2: %d", rec.Code)
 	}

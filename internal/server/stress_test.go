@@ -9,22 +9,24 @@ import (
 	"testing"
 	"time"
 
+	"priview/internal/admission"
 	"priview/internal/server"
 )
 
 // TestStressConcurrentMixed fires parallel marginal requests — valid,
-// invalid, and oversized — at a fully armed server (deadline + shedding
-// + recovery) and asserts the status-code partitioning: valid requests
-// draw 200 or, under saturation, 429; malformed and oversized requests
-// draw 400 or 429 (shedding rejects before validation, by design — a
-// saturated server spends no cycles parsing); nothing else appears.
+// invalid, and oversized — at a fully armed server (deadline +
+// admission control + recovery) and asserts the status-code
+// partitioning: valid requests draw 200 or, under saturation, 429;
+// malformed and oversized requests draw 400 or 429 (admission sheds
+// before validation, by design — a saturated server spends no cycles
+// parsing); nothing else appears.
 // Run under -race this doubles as the data-race gate for the whole
 // serving path.
 func TestStressConcurrentMixed(t *testing.T) {
-	s := server.NewWithOptions(buildSynopsis(t), server.Options{
+	s := server.ServeOne(buildSynopsis(t), server.Options{
 		MaxK:         4,
 		QueryTimeout: 10 * time.Second,
-		MaxInflight:  4,
+		Admission:    &admission.Config{InitialLimit: 4, MinLimit: 1, MaxLimit: 4, MaxQueue: 4},
 		Logger:       quietLogger(),
 	})
 	ts := httptest.NewServer(s)

@@ -14,8 +14,8 @@ import (
 // GET /metrics and hands out the interned handles the subsystems write
 // through. One Metrics per telemetry.Registry; constructing it twice
 // over the same registry is safe because family registration is
-// idempotent, so the singleton Server, the multi-tenant router, the
-// release registry and the client can all share one scrape surface.
+// idempotent, so the router, the release registry and the client can
+// all share one scrape surface.
 //
 // Naming follows the Prometheus conventions DESIGN.md §15 pins down:
 // everything is prefixed priview_, counters end in _total, and every

@@ -15,16 +15,20 @@ import (
 )
 
 // The JSON stats surfaces predate the telemetry layer and are scraped
-// by deployed tooling; these goldens pin their exact bytes so the
-// refactor onto telemetry counters stays invisible there. The zero
-// state is pinned (counter values vary with traffic, field order and
-// presence must not).
+// by deployed tooling; these goldens pin the exact bytes of the
+// router-wide surface, /v1/releases, for the one-release router the
+// single-synopsis modes run. The zero state is pinned (counter values
+// vary with traffic, field order and presence must not). The
+// per-release stats bodies are pinned on a real registry in
+// internal/registry.
 const (
-	// Legacy configuration (semaphore, no adaptive admission): the
-	// admission block is omitted entirely, not emitted as null/zero.
-	bareStatsGolden = "{\"cache\":false,\"hits\":0,\"misses\":0,\"evictions\":0,\"coalesced\":0,\"entries\":0,\"bytes\":0}\n"
-	// Cache + adaptive admission: every field, in declaration order.
-	cachedStatsGolden = "{\"cache\":true,\"hits\":0,\"misses\":0,\"evictions\":0,\"coalesced\":0,\"entries\":0,\"bytes\":0," +
+	// No adaptive admission: the admission block is omitted entirely,
+	// not emitted as null/zero.
+	bareReleasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]}\n"
+	// Adaptive admission: every field, in declaration order — the same
+	// bytes the single-synopsis /v1/stats body carried before those
+	// modes became one-release registries.
+	admissionReleasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]," +
 		"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
 		"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +
 		"\"brownout_active\":false,\"short_latency_ms\":0,\"long_latency_ms\":0}}\n"
@@ -32,14 +36,14 @@ const (
 
 func TestStatsJSONGolden(t *testing.T) {
 	s, _ := testServer(t)
-	if got := get(t, s, "/v1/stats").Body.String(); got != bareStatsGolden {
-		t.Errorf("legacy /v1/stats changed:\n got  %q\n want %q", got, bareStatsGolden)
+	if got := get(t, s, "/v1/releases").Body.String(); got != bareReleasesGolden {
+		t.Errorf("/v1/releases changed:\n got  %q\n want %q", got, bareReleasesGolden)
 	}
 
 	cq, _, _ := cachedTestSetup(t)
-	cs := NewWithOptions(NewSwappable(cq), Options{Admission: &admission.Config{}})
-	if got := get(t, cs, "/v1/stats").Body.String(); got != cachedStatsGolden {
-		t.Errorf("cached /v1/stats changed:\n got  %q\n want %q", got, cachedStatsGolden)
+	cs := serveOne(cq, Options{Admission: &admission.Config{}})
+	if got := get(t, cs, "/v1/releases").Body.String(); got != admissionReleasesGolden {
+		t.Errorf("/v1/releases with admission changed:\n got  %q\n want %q", got, admissionReleasesGolden)
 	}
 }
 
@@ -83,7 +87,7 @@ func sampleValue(t *testing.T, fams map[string]*telemetry.ParsedFamily, family, 
 func TestMetricsEndpoint(t *testing.T) {
 	cq, _, _ := cachedTestSetup(t)
 	var logBuf bytes.Buffer
-	s := NewWithOptions(cq, Options{
+	s := serveOne(cq, Options{
 		Admission: &admission.Config{},
 		SlowQuery: time.Nanosecond, // everything is slow: exercises the counter + log line
 		Logger:    log.New(&logBuf, "", 0),

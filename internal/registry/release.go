@@ -63,8 +63,8 @@ type release struct {
 	cache      *qcache.Cache  // nil when caching disabled or evicted
 	loadedPath string         // snapshot file currently served
 	version    string         // source version served (see Versioner)
-	loading    chan struct{}     // non-nil while a load is in flight (singleflight)
-	warmMasks  []qcache.Key      // hot keys saved at eviction, replayed on re-admit
+	loading    chan struct{}  // non-nil while a load is in flight (singleflight)
+	warmMasks  []qcache.Key   // hot keys saved at eviction, replayed on re-admit
 
 	state        breakerState
 	consecFails  int
@@ -646,9 +646,9 @@ func (rl *release) warmAsync(q server.Querier, handoff []qcache.Key) {
 
 // maybeReload checks whether the release's source version (its newest
 // on-disk snapshot, or its Versioner token) differs from the one being
-// served and, if so, hot-reloads it through
-// keep-last-good: the old synopsis serves until the new one has passed
-// checksum + audit, and a failed reload changes nothing but a counter.
+// served and, if so, hot-reloads it through keep-last-good: the old
+// synopsis serves until the new one has passed checksum + audit, and a
+// failed reload changes nothing but a counter.
 // Cold releases stay cold (lazy loading is the admission path).
 func (rl *release) maybeReload(ctx context.Context) {
 	newest, ok := rl.sourceVersion()

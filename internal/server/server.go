@@ -73,8 +73,10 @@ type Options struct {
 	// QueryTimeout is the per-request reconstruction deadline; requests
 	// exceeding it fail with 504. ≤ 0 disables the deadline.
 	QueryTimeout time.Duration
-	// RetryAfter is the hint written on shed responses (default 1s,
-	// rounded up to whole seconds as the header requires).
+	// RetryAfter is the hint written on draining probes, deadline
+	// fast-fails and brownout refusals (default 1s, rounded up to whole
+	// seconds as the header requires); admission sheds carry the
+	// controller's own queue-depth-scaled hint.
 	RetryAfter time.Duration
 	// MaxBatch bounds the queries one POST /v1/marginals request may
 	// carry (≤ 0 selects the default of 256).

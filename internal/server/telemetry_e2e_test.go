@@ -25,9 +25,7 @@ const (
 	// No adaptive admission: the admission block is omitted entirely,
 	// not emitted as null/zero.
 	bareReleasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]}\n"
-	// Adaptive admission: every field, in declaration order — the same
-	// bytes the single-synopsis /v1/stats body carried before those
-	// modes became one-release registries.
+	// Adaptive admission: every field, in declaration order.
 	admissionReleasesGolden = "{\"default\":\"default\",\"releases\":[\"default\"]," +
 		"\"admission\":{\"limit\":16,\"inflight\":0,\"queue_depth\":0,\"admitted\":0,\"queued\":0,\"shed\":0," +
 		"\"codel_dropped\":0,\"deadline_rejected\":0,\"brownout_served\":0,\"brownout_rejected\":0," +

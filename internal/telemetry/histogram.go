@@ -95,11 +95,15 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // snapshot returns per-bucket (non-cumulative) counts, the total count
 // and the sum, reading each atomically. The counts are not a consistent
 // cut across buckets — Prometheus scrapes tolerate that — but each
-// value is itself coherent.
+// value is itself coherent. The total is the sum of the buckets read,
+// not the separate counter: an Observe racing the scrape may have
+// bumped its bucket but not yet the counter, and the exposition's +Inf
+// bucket must equal _count.
 func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum float64) {
 	buckets = make([]uint64, len(h.counts))
 	for i := range h.counts {
 		buckets[i] = h.counts[i].Load()
+		count += buckets[i]
 	}
-	return buckets, h.count.Load(), h.Sum()
+	return buckets, count, h.Sum()
 }

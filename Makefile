@@ -68,11 +68,17 @@ chaos-overload:
 	$(GO) test -race -run 'TestOverloadStorm|TestBatchOverloadStorm|TestRetryAmplificationBounded|TestGreedyTenantFairness' ./internal/chaos/
 
 # The query-cache benchmarks (cached vs uncached reconstruction at the
-# qcache and HTTP layers) plus the attrset before/after suite (pairwise
-# set scan, intersection closure, constraint dedupe, solver hot-loop
-# projection — each Old/New pair in the same binary). Reference numbers
-# live in BENCH_qcache.json and BENCH_attrset.json; see DESIGN.md §9
-# and §10.
+# qcache and HTTP layers) plus the before/after suites, each Old/New
+# pair in the same binary: the attrset unification (pairwise set scan,
+# intersection closure, constraint dedupe, solver hot-loop projection),
+# the intersection closure's O(M·w) fixpoint against the O(M²) one
+# (BenchmarkIntersectionClosureOld/New run the retired slice pipeline
+# against the kernel on a C2(8,28) design; the C3Old/C3New pair runs
+# the two fixpoints on the Kosarak-scale C3(8,173), where M is large),
+# and the byte-table view counting kernel against the per-bit scan
+# (BenchmarkMarginalOld/New: d=32, ℓ=8 blocks over 200k Kosarak-shaped
+# records). Reference numbers live in BENCH_qcache.json,
+# BENCH_attrset.json and CHANGES.md; see DESIGN.md §9 and §10.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkQueryCached|BenchmarkQueryUncached' -benchmem -benchtime=$(BENCHTIME) ./internal/qcache/
@@ -80,6 +86,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkDedupeIdentical' -benchmem -benchtime=$(BENCHTIME) ./internal/reconstruct/
 	$(GO) test -run='^$$' -bench='BenchmarkPairwiseScan|BenchmarkIntersectionClosure|BenchmarkFromAttrs' -benchmem -benchtime=$(BENCHTIME) ./internal/attrset/
 	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
+	$(GO) test -run='^$$' -bench='BenchmarkMarginalOld|BenchmarkMarginalNew' -benchmem -benchtime=$(BENCHTIME) ./internal/dataset/
 
 # Batched-query wall-clock: QueryBatch vs the sequential loop on the
 # all-3-way workload, both paths in one binary. Reference numbers (and

@@ -185,21 +185,37 @@ func forEachSubset(set []int, t int, fn func([]int)) {
 	}
 }
 
-var binomCache = map[[2]int]int{}
+// pascal holds C(n, k) for n ≤ 64, every coefficient a d ≤ 64 design
+// ranks subsets with. It is built once at init and only read after, so
+// concurrent planners share it without a lock.
+var pascal = func() (p [65][65]int) {
+	for n := range p {
+		p[n][0] = 1
+		for k := 1; k <= n; k++ {
+			p[n][k] = p[n-1][k-1] + p[n-1][k]
+		}
+	}
+	return p
+}()
 
+// binom returns C(n, k), 0 outside 0 ≤ k ≤ n. Beyond the table it uses
+// the multiplicative formula, exact while C(n, k)·k fits an int; each
+// step r·(n−k+i)/i is C(n−k+i, i), so the division never truncates.
 func binom(n, k int) int {
 	if k < 0 || k > n {
 		return 0
 	}
-	if k == 0 || k == n {
-		return 1
+	if n < len(pascal) {
+		return pascal[n][k]
 	}
-	if v, ok := binomCache[[2]int{n, k}]; ok {
-		return v
+	if k > n-k {
+		k = n - k
 	}
-	v := binom(n-1, k-1) + binom(n-1, k)
-	binomCache[[2]int{n, k}] = v
-	return v
+	r := 1
+	for i := 1; i <= k; i++ {
+		r = r * (n - k + i) / i
+	}
+	return r
 }
 
 // Binom exposes the binomial coefficient for error formulas elsewhere.

@@ -70,6 +70,14 @@ func (d *Dataset) Attrs() []int {
 // Marginal computes the exact marginal contingency table over the given
 // attribute set by a single scan of the records. This is the only place
 // raw data is aggregated; everything downstream works on tables.
+//
+// The scan is byte-table driven. For each record byte the view touches,
+// a 256-entry table maps that byte's value to the cell-index bits its
+// attributes contribute, so a record's cell index is the OR of one
+// lookup per touched byte instead of a shift/and/shift/or per
+// attribute. Views touching 1–4 bytes (every view of a d ≤ 32 dataset)
+// get an unrolled loop. Each record still adds exactly 1 to one cell,
+// in record order, so the table is bit-identical to a per-bit scan.
 func (d *Dataset) Marginal(attrs []int) *marginal.Table {
 	t := marginal.New(attrs)
 	for _, a := range t.Attrs {
@@ -77,17 +85,55 @@ func (d *Dataset) Marginal(attrs []int) *marginal.Table {
 			panic(fmt.Sprintf("dataset: attribute %d out of range for dim %d", a, d.dim))
 		}
 	}
-	// Precompute each attribute's source bit for a tight inner loop.
-	srcBits := make([]uint, len(t.Attrs))
-	for i, a := range t.Attrs {
-		srcBits[i] = uint(a)
-	}
-	for _, r := range d.records {
-		idx := 0
-		for j, b := range srcBits {
-			idx |= int((r>>b)&1) << uint(j)
+	// tabs[k] serves the k-th touched byte, which sits at bit shifts[k]
+	// of the record. t.Attrs is sorted, so touched bytes come in order.
+	var tabs [MaxDim / 8][256]uint32
+	var shifts [MaxDim / 8]uint
+	nb := 0
+	for j, a := range t.Attrs {
+		shift := uint(a) &^ 7
+		if nb == 0 || shifts[nb-1] != shift {
+			shifts[nb] = shift
+			nb++
 		}
-		t.Cells[idx]++
+		tab, bit := &tabs[nb-1], uint(a)&7
+		for v := range tab {
+			tab[v] |= uint32(v>>bit&1) << uint(j)
+		}
+	}
+	cells, recs := t.Cells, d.records
+	t0, t1, t2, t3 := &tabs[0], &tabs[1], &tabs[2], &tabs[3]
+	s0, s1, s2, s3 := shifts[0], shifts[1], shifts[2], shifts[3]
+	switch nb {
+	case 1:
+		//lint:hot
+		for _, r := range recs {
+			cells[t0[uint8(r>>s0)]]++
+		}
+	case 2:
+		//lint:hot
+		for _, r := range recs {
+			cells[t0[uint8(r>>s0)]|t1[uint8(r>>s1)]]++
+		}
+	case 3:
+		//lint:hot
+		for _, r := range recs {
+			cells[t0[uint8(r>>s0)]|t1[uint8(r>>s1)]|t2[uint8(r>>s2)]]++
+		}
+	case 4:
+		//lint:hot
+		for _, r := range recs {
+			cells[t0[uint8(r>>s0)]|t1[uint8(r>>s1)]|t2[uint8(r>>s2)]|t3[uint8(r>>s3)]]++
+		}
+	default:
+		//lint:hot
+		for _, r := range recs {
+			idx := uint32(0)
+			for k := 0; k < nb; k++ {
+				idx |= tabs[k][uint8(r>>shifts[k])]
+			}
+			cells[idx]++
+		}
 	}
 	return t
 }

@@ -77,16 +77,22 @@ chaos-overload:
 # the two fixpoints on the Kosarak-scale C3(8,173), where M is large),
 # and the byte-table view counting kernel against the per-bit scan
 # (BenchmarkMarginalOld/New: d=32, ℓ=8 blocks over 200k Kosarak-shaped
-# records). Reference numbers live in BENCH_qcache.json,
-# BENCH_attrset.json and CHANGES.md; see DESIGN.md §9 and §10.
+# records), the uncovered-query constraint preparation before and after
+# the mask-first derivation (BenchmarkPrepareOld/New: 4- and 6-way
+# queries on the d=32 C3(8,173) release), and one view's projection
+# through per-call index slices against the gathering Project
+# (BenchmarkProjectViewOld/New). Reference numbers live in
+# BENCH_qcache.json, BENCH_attrset.json and CHANGES.md; see DESIGN.md
+# §9, §10 and §14.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkQueryCached|BenchmarkQueryUncached' -benchmem -benchtime=$(BENCHTIME) ./internal/qcache/
 	$(GO) test -run='^$$' -bench='BenchmarkServerMarginal' -benchmem -benchtime=$(BENCHTIME) ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkDedupeIdentical' -benchmem -benchtime=$(BENCHTIME) ./internal/reconstruct/
 	$(GO) test -run='^$$' -bench='BenchmarkPairwiseScan|BenchmarkIntersectionClosure|BenchmarkFromAttrs' -benchmem -benchtime=$(BENCHTIME) ./internal/attrset/
-	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
+	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection|BenchmarkProjectView' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
 	$(GO) test -run='^$$' -bench='BenchmarkMarginalOld|BenchmarkMarginalNew' -benchmem -benchtime=$(BENCHTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -bench='BenchmarkPrepareOld|BenchmarkPrepareNew' -benchmem -benchtime=$(BENCHTIME) ./internal/core/
 
 # Batched-query wall-clock: QueryBatch vs the sequential loop on the
 # all-3-way workload, both paths in one binary. Reference numbers (and

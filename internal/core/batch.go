@@ -295,7 +295,7 @@ func AllKWay(d, k int, method ReconstructMethod) []BatchRequest {
 
 // solveShared is the per-(attribute-set, view-source) state every
 // estimator answering the same canonical attribute set reuses: the
-// covered-view fast path, the view-derived constraint system after
+// covered-view fast path, the maximal view-derived constraints after
 // non-finite filtering, the repaired total, and the
 // reconstruct.Prepared solver precompute. Batches group their requests
 // by this state so the constraint projections and RestrictIndices
@@ -314,13 +314,30 @@ type solveShared struct {
 	degraded error // numerical trouble found during preparation
 }
 
+// source returns the views the group solves against and their
+// reconstruct.ProjectionSafe facts.
+func (sh *solveShared) source() ([]*marginal.Table, []bool) {
+	if sh.raw {
+		return sh.syn.rawViews, sh.syn.rawFacts.get(sh.syn.rawViews)
+	}
+	return sh.syn.views, sh.syn.facts.get(sh.syn.views)
+}
+
+// perView returns one finite constraint per view intersecting attrs:
+// the set the LP estimators reconcile, and the one a non-finite total
+// is re-estimated from. A group runs at most one LP-family solve (its
+// requests are distinct (set, method) pairs and no fallback chain
+// returns to LP), so the set is built on demand and not kept.
+func (sh *solveShared) perView() []*marginal.Table {
+	views, _ := sh.source()
+	cons, _ := reconstruct.DropNonFinite(reconstruct.ConstraintsFromViews(views, sh.attrs))
+	return cons
+}
+
 // init builds the shared state; called once under sh.once.
 func (sh *solveShared) init() {
-	source := sh.syn.views
-	if sh.raw {
-		source = sh.syn.rawViews
-	}
-	if t := reconstruct.Covered(source, sh.attrs); t != nil {
+	views, safe := sh.source()
+	if t := reconstruct.Covered(views, sh.attrs); t != nil {
 		if reconstruct.FiniteTable(t) {
 			sh.covered = t
 			return
@@ -331,12 +348,20 @@ func (sh *solveShared) init() {
 			Solver: "direct", Iter: -1, Quantity: "covering view cell", Value: math.NaN(),
 		}
 	}
-	cons := reconstruct.ConstraintsFromViews(source, sh.attrs)
-	cons, dropped := reconstruct.DropNonFinite(cons)
+	cons, dropped := reconstruct.MaximalFromViews(views, safe, sh.attrs)
 	if dropped > 0 && sh.degraded == nil {
 		sh.degraded = &reconstruct.NumericalError{
 			Solver: "constraints", Iter: -1,
 			Quantity: fmt.Sprintf("%d non-finite constraint table(s)", dropped), Value: math.NaN(),
+		}
+	}
+	for _, c := range cons {
+		if !reconstruct.FiniteTable(c) {
+			// Averaging finite projections overflowed. The solvers check
+			// their inputs before merging them, so hand them the
+			// per-view set, whose tables are each finite.
+			cons = sh.perView()
+			break
 		}
 	}
 	total := sh.syn.total
@@ -345,7 +370,7 @@ func (sh *solveShared) init() {
 			sh.degraded = &reconstruct.NumericalError{Solver: "synopsis", Iter: -1, Quantity: "total", Value: total}
 		}
 		// Re-estimate from the surviving healthy constraints.
-		total = meanTotal(cons)
+		total = meanTotal(sh.perView())
 		if math.IsNaN(total) || math.IsInf(total, 0) || total < 0 {
 			total = 0
 		}
@@ -437,7 +462,7 @@ func (sh *solveShared) dispatch(ctx context.Context, method ReconstructMethod, o
 	case CLN:
 		return sh.prep.LeastSquares(ctx, opt)
 	case LP, CLP:
-		return sh.prep.LinProg(ctx)
+		return reconstruct.Prepare(sh.attrs, sh.total, sh.perView()).LinProg(ctx)
 	default:
 		panic(fmt.Sprintf("core: unknown reconstruction method %d", int(method)))
 	}

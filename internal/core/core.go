@@ -178,6 +178,23 @@ type Synopsis struct {
 	views    []*marginal.Table // post-processed (consistent, non-negative)
 	rawViews []*marginal.Table // as published, before post-processing
 	total    float64           // common total count N_V of the views
+
+	// Per-view facts for views and rawViews, taken by the first query
+	// that needs them: the views must not change after that.
+	facts, rawFacts viewFacts
+}
+
+// viewFacts holds reconstruct.ProjectionSafe for one view slice, so
+// that uncovered queries project only the views whose intersections
+// are maximal instead of rescanning every view for non-finite cells.
+type viewFacts struct {
+	once sync.Once
+	safe []bool
+}
+
+func (f *viewFacts) get(views []*marginal.Table) []bool {
+	f.once.Do(func() { f.safe = reconstruct.ProjectionSafe(views) })
+	return f.safe
 }
 
 // BuildSynopsis constructs the PriView synopsis for the dataset. This is

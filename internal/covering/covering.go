@@ -78,6 +78,10 @@ type coverage struct {
 	d, t    int
 	covered []bool
 	left    int
+	// next is a lower bound on the first uncovered rank: subsets are
+	// only ever marked, never unmarked, so firstUncovered resumes its
+	// scan there.
+	next int
 }
 
 func newCoverage(d, t int) *coverage {
@@ -115,25 +119,36 @@ func (c *coverage) addBlock(block []int) int {
 	return before - c.left
 }
 
-// countNew returns how many t-subsets of the block are currently
-// uncovered without marking them.
-func (c *coverage) countNew(block []int) int {
+// countNewWith returns how many of the t-subsets s ∪ {a} are still
+// uncovered, for s over subs: the (t−1)-subsets of a block not holding
+// a, each sorted. Those are exactly the t-subsets of block ∪ {a} that
+// contain a, so the count differs from block ∪ {a}'s uncovered count
+// by block's own, which every candidate a shares: ranking candidates by
+// it gives the same argmax and the same tie-breaks.
+func (c *coverage) countNewWith(subs [][]int, a int) int {
 	n := 0
-	forEachSubset(block, c.t, func(sub []int) {
-		if !c.covered[c.rank(sub)] {
+	for _, s := range subs {
+		// Rank the sorted tuple s ∪ {a}: members below a keep their
+		// slot, a takes the next, and members above a shift up one.
+		r, i := 0, 0
+		for ; i < len(s) && s[i] < a; i++ {
+			r += binom(s[i], i+1)
+		}
+		r += binom(a, i+1)
+		for ; i < len(s); i++ {
+			r += binom(s[i], i+2)
+		}
+		if !c.covered[r] {
 			n++
 		}
-	})
+	}
 	return n
 }
 
 func (c *coverage) firstUncovered() []int {
-	if c.left == 0 {
-		return nil
-	}
-	for r, ok := range c.covered {
-		if !ok {
-			return c.unrank(r)
+	for ; c.next < len(c.covered); c.next++ {
+		if !c.covered[c.next] {
+			return c.unrank(c.next)
 		}
 	}
 	return nil
@@ -239,6 +254,8 @@ func Greedy(d, l, t int, rng *noise.Stream) *Design {
 			inBlock[a] = true
 		}
 		for len(block) < l {
+			var subs [][]int
+			forEachSubset(block, t-1, func(sub []int) { subs = append(subs, append([]int(nil), sub...)) })
 			best, bestGain := -1, -1
 			start := rng.Intn(d)
 			for off := 0; off < d; off++ {
@@ -246,8 +263,7 @@ func Greedy(d, l, t int, rng *noise.Stream) *Design {
 				if inBlock[a] {
 					continue
 				}
-				cand := insertSorted(block, a)
-				gain := cov.countNew(cand) // includes already-counted; fine for comparison
+				gain := cov.countNewWith(subs, a)
 				if gain > bestGain {
 					bestGain = gain
 					best = a

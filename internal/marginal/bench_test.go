@@ -98,3 +98,30 @@ func BenchmarkHotLoopProjectionNew(b *testing.B) {
 		t.ProjectInto(proj, ridx)
 	}
 }
+
+// Projecting one 8-attribute view onto a 3-attribute intersection, the
+// shape of every constraint an uncovered query projects and of every
+// covered answer. Old: the retired per-call Positions and
+// RestrictIndices slices. New: Project's gathering sum, which
+// allocates only the output.
+var projectSink *Table
+
+func BenchmarkProjectViewOld(b *testing.B) {
+	t := benchTable(8)
+	sub := []int{2, 6, 10}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out := New(sub)
+		t.ProjectInto(out.Cells, t.RestrictIndices(out.Attrs))
+		projectSink = out
+	}
+}
+
+func BenchmarkProjectViewNew(b *testing.B) {
+	t := benchTable(8)
+	sub := []int{2, 6, 10}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		projectSink = t.Project(sub)
+	}
+}

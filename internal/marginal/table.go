@@ -156,15 +156,47 @@ func (t *Table) ProjectInto(dst []float64, ridx []int32) {
 	}
 }
 
+// smallProjectCells bounds the source tables Project sums by gathering:
+// up to 256 cells (an 8-attribute view) sit in L1, so walking each
+// output cell's sources costs no more than one scan, needs no index
+// table, and allocates nothing beyond the output.
+const smallProjectCells = 256
+
 // Project returns the marginal table over sub ⊆ Attrs, written T_A[sub]
 // in the paper: cells of the projection are sums of the cells of t that
-// agree with the corresponding assignment of sub. The cell mapping is
-// precomputed via the table's attribute mask; projecting onto the full
-// attribute set degenerates to a copy.
+// agree with the corresponding assignment of sub. Each output cell sums
+// its source cells in ascending order, so every path below gives the
+// same bits: small tables gather the sources directly, larger ones
+// precompute the cell mapping via the table's attribute mask, and
+// projecting onto the full attribute set degenerates to a copy.
 func (t *Table) Project(sub []int) *Table {
 	out := New(sub)
 	if out.mask == t.Mask() && len(out.Attrs) == len(t.Attrs) {
 		copy(out.Cells, t.Cells)
+		return out
+	}
+	if len(t.Cells) <= smallProjectCells {
+		if stray := out.mask.Diff(t.Mask()); !stray.Empty() {
+			panic(fmt.Sprintf("marginal: attribute %d not in table over %v", stray.Min(), t.Attrs))
+		}
+		// Output cell b gathers the source cells base|s, where base
+		// deposits b's bits at sub's positions pm and s runs over the
+		// other positions' submasks in ascending order: each sum adds
+		// the same cells in the same order as ProjectInto's scatter.
+		pm := attrset.PosMask(out.mask, t.Mask())
+		free := uint64(len(t.Cells)-1) &^ pm
+		base := uint64(0)
+		for b := range out.Cells {
+			sum := 0.0
+			for s := uint64(0); ; s = (s - free) & free {
+				sum += t.Cells[base|s]
+				if s == free {
+					break
+				}
+			}
+			out.Cells[b] = sum
+			base = (base - pm) & pm
+		}
 		return out
 	}
 	if len(t.Cells) <= restrictPrecomputeLimit {

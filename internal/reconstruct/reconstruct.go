@@ -122,6 +122,121 @@ func MaximalConstraints(cons []*marginal.Table) []*marginal.Table {
 	return out
 }
 
+// MaximalFromViews returns MaximalConstraints(DropNonFinite(
+// ConstraintsFromViews(views, attrs))) together with DropNonFinite's
+// dropped count, bit for bit and in the same order, while projecting
+// only the views it must. Which intersections are maximal is decided
+// on the view masks alone, so a view is projected when its intersection
+// with attrs is maximal, or when safe does not vouch for it: safe is
+// ProjectionSafe(views), or nil to vouch for none. A view it does not
+// vouch for is projected and checked exactly as DropNonFinite would.
+// Each maximal constraint sums its views' projections in view order and
+// scales by 1/n, the float operations MaximalConstraints performs.
+func MaximalFromViews(views []*marginal.Table, safe []bool, attrs []int) (cons []*marginal.Table, dropped int) {
+	target := attrset.MustFromAttrs(attrs)
+	var sub []int
+	project := func(v *marginal.Table, b attrset.Set) *marginal.Table {
+		sub = b.AppendAttrs(sub[:0])
+		return v.Project(sub)
+	}
+	// checked holds the finite projections of the views safe does not
+	// vouch for; nil marks a dropped one.
+	var checked []*marginal.Table
+	// maximal is an antichain of the intersections seen so far, in
+	// order of first appearance. An intersection under one of its
+	// members was either seen before or is not maximal; otherwise it
+	// joins, evicting the members it strictly contains.
+	var maximal []attrset.Set
+	for i, v := range views {
+		b := v.Mask().Intersect(target)
+		if b.Empty() {
+			continue
+		}
+		if safe == nil || !safe[i] {
+			if checked == nil {
+				checked = make([]*marginal.Table, len(views))
+			}
+			p := project(v, b)
+			if !FiniteTable(p) {
+				dropped++
+				continue
+			}
+			checked[i] = p
+		}
+		under := false
+		for _, m := range maximal {
+			if b.Subset(m) {
+				under = true
+				break
+			}
+		}
+		if under {
+			continue
+		}
+		kept := maximal[:0]
+		for _, m := range maximal {
+			if !m.Subset(b) {
+				kept = append(kept, m)
+			}
+		}
+		maximal = append(kept, b)
+	}
+	cons = make([]*marginal.Table, len(maximal))
+	counts := make([]int, len(maximal))
+	for i, v := range views {
+		b := v.Mask().Intersect(target)
+		j := -1
+		for k, m := range maximal {
+			if m == b {
+				j = k
+				break
+			}
+		}
+		if j < 0 {
+			continue
+		}
+		var p *marginal.Table
+		if safe == nil || !safe[i] {
+			if p = checked[i]; p == nil {
+				continue
+			}
+		} else {
+			p = project(v, b)
+		}
+		if cons[j] == nil {
+			cons[j] = p
+		} else {
+			cons[j].AddInto(p)
+		}
+		counts[j]++
+	}
+	for j, c := range cons {
+		c.Scale(1 / float64(counts[j]))
+	}
+	return cons, dropped
+}
+
+// safeMass bounds Σ|cell| for a view ProjectionSafe vouches for. A
+// projected cell sums some of the view's cells, so even with rounding
+// its magnitude stays near the mass, far below math.MaxFloat64.
+const safeMass = math.MaxFloat64 / 4
+
+// ProjectionSafe reports, per view, whether every projection of the
+// view is finite without computing it: the view's cells are finite and
+// Σ|cell| ≤ safeMass. A NaN or ±Inf cell makes the sum non-finite, and
+// so fails the bound, as does a sum that overflows.
+func ProjectionSafe(views []*marginal.Table) []bool {
+	safe := make([]bool, len(views))
+	for i, v := range views {
+		mass := 0.0
+		for _, c := range v.Cells {
+			mass += math.Abs(c)
+		}
+		safe[i] = mass <= safeMass
+	}
+	return safe
+}
+
 // Covered returns the direct projection of some view fully containing
 // attrs, or nil when no view covers it.
 func Covered(views []*marginal.Table, attrs []int) *marginal.Table {

@@ -79,9 +79,9 @@ chaos-overload:
 # (BenchmarkMarginalOld/New: d=32, ℓ=8 blocks over 200k Kosarak-shaped
 # records), the uncovered-query constraint preparation before and after
 # the mask-first derivation (BenchmarkPrepareOld/New: 4- and 6-way
-# queries on the d=32 C3(8,173) release), and one view's projection
-# through per-call index slices against the gathering Project
-# (BenchmarkProjectViewOld/New). Reference numbers live in
+# queries on the d=32 C3(8,173) release), and projecting 8- to
+# 16-attribute sources through per-call index slices against the
+# gathering Project (BenchmarkProjectSourceOld/New). Reference numbers live in
 # BENCH_qcache.json, BENCH_attrset.json and CHANGES.md; see DESIGN.md
 # §9, §10 and §14.
 BENCHTIME ?= 1s
@@ -90,7 +90,7 @@ bench:
 	$(GO) test -run='^$$' -bench='BenchmarkServerMarginal' -benchmem -benchtime=$(BENCHTIME) ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkDedupeIdentical' -benchmem -benchtime=$(BENCHTIME) ./internal/reconstruct/
 	$(GO) test -run='^$$' -bench='BenchmarkPairwiseScan|BenchmarkIntersectionClosure|BenchmarkFromAttrs' -benchmem -benchtime=$(BENCHTIME) ./internal/attrset/
-	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection|BenchmarkProjectView' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
+	$(GO) test -run='^$$' -bench='BenchmarkHotLoopProjection|BenchmarkProjectSource' -benchmem -benchtime=$(BENCHTIME) ./internal/marginal/
 	$(GO) test -run='^$$' -bench='BenchmarkMarginalOld|BenchmarkMarginalNew' -benchmem -benchtime=$(BENCHTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -bench='BenchmarkPrepareOld|BenchmarkPrepareNew' -benchmem -benchtime=$(BENCHTIME) ./internal/core/
 

@@ -387,10 +387,17 @@ func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod, swee
 		return nil, err
 	}
 	// Only the caller that actually runs init charges the core.prepare
-	// stage; joiners of an already-built shared state spent nothing.
+	// stage; joiners of an already-built shared state spent nothing. An
+	// LP or CLP caller also builds the per-view set its estimator
+	// reconciles, and charges that to the same stage.
 	prepStart := time.Now()
 	ran := false
 	sh.once.Do(func() { ran = true; sh.init() })
+	var lpCons []*marginal.Table
+	if sh.covered == nil && (method == LP || method == CLP) {
+		lpCons = sh.perView()
+		ran = true
+	}
 	if ran {
 		telemetry.FromContext(ctx).Stage("core.prepare", time.Since(prepStart))
 	}
@@ -410,7 +417,7 @@ func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod, swee
 	var t *marginal.Table
 	for _, m := range fallbackChain(method) {
 		var err error
-		t, err = sh.solveOnce(ctx, m, opt)
+		t, err = sh.solveOnce(ctx, m, opt, lpCons)
 		if err == nil {
 			break
 		}
@@ -440,20 +447,21 @@ func (sh *solveShared) solve(ctx context.Context, method ReconstructMethod, swee
 
 // solveOnce runs a single estimator without fallback, charging its
 // wall clock to the request trace under the estimator's stage name.
-func (sh *solveShared) solveOnce(ctx context.Context, method ReconstructMethod, opt reconstruct.Options) (*marginal.Table, error) {
+// lpCons is the per-view set LP and CLP reconcile.
+func (sh *solveShared) solveOnce(ctx context.Context, method ReconstructMethod, opt reconstruct.Options, lpCons []*marginal.Table) (*marginal.Table, error) {
 	tr := telemetry.FromContext(ctx)
 	var begin time.Time
 	if tr != nil {
 		begin = time.Now()
 	}
-	t, err := sh.dispatch(ctx, method, opt)
+	t, err := sh.dispatch(ctx, method, opt, lpCons)
 	if tr != nil {
 		tr.Stage(reconstructStage(method), time.Since(begin))
 	}
 	return t, err
 }
 
-func (sh *solveShared) dispatch(ctx context.Context, method ReconstructMethod, opt reconstruct.Options) (*marginal.Table, error) {
+func (sh *solveShared) dispatch(ctx context.Context, method ReconstructMethod, opt reconstruct.Options, lpCons []*marginal.Table) (*marginal.Table, error) {
 	switch method {
 	case CME:
 		return sh.prep.MaxEnt(ctx, opt)
@@ -462,7 +470,7 @@ func (sh *solveShared) dispatch(ctx context.Context, method ReconstructMethod, o
 	case CLN:
 		return sh.prep.LeastSquares(ctx, opt)
 	case LP, CLP:
-		return reconstruct.Prepare(sh.attrs, sh.total, sh.perView()).LinProg(ctx)
+		return reconstruct.Prepare(sh.attrs, sh.total, lpCons).LinProg(ctx)
 	default:
 		panic(fmt.Sprintf("core: unknown reconstruction method %d", int(method)))
 	}

@@ -14,6 +14,7 @@ import (
 	"priview/internal/marginal"
 	"priview/internal/noise"
 	"priview/internal/reconstruct"
+	"priview/internal/telemetry"
 )
 
 // oracleInit is solveShared.init as it derived constraints before the
@@ -367,5 +368,29 @@ func TestViewFactsRace(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+	}
+}
+
+// TestPrepareStageCoversLPSet: an uncovered query's trace records one
+// core.prepare stage and then its estimator's stage, for every
+// estimator. LP and CLP fold the build of their per-view set into that
+// one core.prepare record rather than adding a second, so the
+// per-stage histograms still count one observation per request.
+func TestPrepareStageCoversLPSet(t *testing.T) {
+	s := msnbcOracleSynopsis()
+	q := uncoveredQueries(s, 9, 4, 1, 46)[0]
+	for _, m := range allMethods {
+		ctx, tr := telemetry.StartTrace(context.Background())
+		if _, err := s.QueryMethodContext(ctx, q, m); err != nil {
+			t.Fatalf("%v on %v: %v", m, q, err)
+		}
+		var names []string
+		for _, st := range tr.Stages() {
+			names = append(names, st.Name)
+		}
+		want := []string{"core.prepare", reconstructStage(m)}
+		if fmt.Sprint(names) != fmt.Sprint(want) {
+			t.Errorf("%v on %v: stages %v, want %v", m, q, names, want)
+		}
 	}
 }

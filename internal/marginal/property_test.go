@@ -61,9 +61,9 @@ func bruteProject(t *Table, sub []int) *Table {
 	return out
 }
 
-// TestProjectMatchesBruteForce pits the mask-precomputed Project fast
-// path against the first-principles cell restriction on random tables.
-// Equality is exact (==): both paths must visit cells in ascending
+// TestProjectMatchesBruteForce pits Project's gathering sum and the
+// RestrictIndices/ProjectInto scatter against the first-principles cell
+// restriction on random tables of up to 10 attributes. Equality is exact (==): both paths must visit cells in ascending
 // order, so the float accumulation order — and therefore the rounding —
 // is identical.
 func TestProjectMatchesBruteForce(t *testing.T) {

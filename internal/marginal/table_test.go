@@ -304,15 +304,17 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestProjectSmallAllocatesOnlyOutput: projecting a view of up to 256
-// cells gathers each output cell's sources directly, so it allocates
-// exactly what New allocates for the output and nothing per call for
-// positions or restrict indices.
-func TestProjectSmallAllocatesOnlyOutput(t *testing.T) {
-	tab := benchTable(8)
-	sub := []int{2, 6, 10}
-	want := testing.AllocsPerRun(100, func() { New(sub) })
-	if got := testing.AllocsPerRun(100, func() { tab.Project(sub) }); got != want {
-		t.Errorf("Project on a 256-cell table: %v allocs, want %v (the output table's)", got, want)
+// TestProjectAllocatesOnlyOutput: Project gathers each output cell's
+// sources directly, so at any source size it allocates exactly what
+// New allocates for the output and nothing per call for positions or
+// restrict indices.
+func TestProjectAllocatesOnlyOutput(t *testing.T) {
+	for _, dim := range []int{8, 12} {
+		tab := benchTable(dim)
+		sub := []int{2, 6, 10}
+		want := testing.AllocsPerRun(100, func() { New(sub) })
+		if got := testing.AllocsPerRun(100, func() { tab.Project(sub) }); got != want {
+			t.Errorf("Project on a %d-attribute table: %v allocs, want %v (the output table's)", dim, got, want)
+		}
 	}
 }

@@ -40,7 +40,6 @@ func TestMaximalFromViewsMatchesPipeline(t *testing.T) {
 		wantCons, wantDropped := DropNonFinite(ConstraintsFromViews(views, attrs))
 		want := MaximalConstraints(wantCons)
 		facts := map[string][]bool{
-			"nil":       nil,
 			"computed":  ProjectionSafe(views),
 			"none safe": make([]bool, len(views)),
 		}

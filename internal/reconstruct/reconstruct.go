@@ -127,9 +127,10 @@ func MaximalConstraints(cons []*marginal.Table) []*marginal.Table {
 // dropped count, bit for bit and in the same order, while projecting
 // only the views it must. Which intersections are maximal is decided
 // on the view masks alone, so a view is projected when its intersection
-// with attrs is maximal, or when safe does not vouch for it: safe is
-// ProjectionSafe(views), or nil to vouch for none. A view it does not
-// vouch for is projected and checked exactly as DropNonFinite would.
+// with attrs is maximal, or when safe does not vouch for it: safe holds
+// one fact per view, as ProjectionSafe(views) computes them. A view it
+// does not vouch for is projected and checked exactly as DropNonFinite
+// would.
 // Each maximal constraint sums its views' projections in view order and
 // scales by 1/n, the float operations MaximalConstraints performs.
 func MaximalFromViews(views []*marginal.Table, safe []bool, attrs []int) (cons []*marginal.Table, dropped int) {
@@ -152,7 +153,7 @@ func MaximalFromViews(views []*marginal.Table, safe []bool, attrs []int) (cons [
 		if b.Empty() {
 			continue
 		}
-		if safe == nil || !safe[i] {
+		if !safe[i] {
 			if checked == nil {
 				checked = make([]*marginal.Table, len(views))
 			}
@@ -196,7 +197,7 @@ func MaximalFromViews(views []*marginal.Table, safe []bool, attrs []int) (cons [
 			continue
 		}
 		var p *marginal.Table
-		if safe == nil || !safe[i] {
+		if !safe[i] {
 			if p = checked[i]; p == nil {
 				continue
 			}

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch check
+.PHONY: all build vet fmt lint test race chaos chaos-registry chaos-overload fuzz-short audit bench bench-batch check
 
 all: build
 
@@ -12,6 +12,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails listing every tracked Go file that is not
+# gofmt-clean. The file list comes from git so build outputs such as
+# .bench_build/ are never walked.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # priview-lint is this repo's own static-analysis gate: five AST checks
 # (randsource, floatcmp, errdiscard, panicmsg, attrset) plus four
@@ -75,9 +82,10 @@ chaos-overload:
 # (BenchmarkIntersectionClosureOld/New run the retired slice pipeline
 # against the kernel on a C2(8,28) design; the C3Old/C3New pair runs
 # the two fixpoints on the Kosarak-scale C3(8,173), where M is large),
-# and the byte-table view counting kernel against the per-bit scan
-# (BenchmarkMarginalOld/New: d=32, ℓ=8 blocks over 200k Kosarak-shaped
-# records), the uncovered-query constraint preparation before and after
+# and the constant-shift byte-table counting kernel against the
+# variable-shift one it replaced (BenchmarkMarginalOld/New: ℓ=8 blocks
+# over 200k Kosarak-shaped d=32 and AOL-shaped d=45 records), the
+# uncovered-query constraint preparation before and after
 # the mask-first derivation (BenchmarkPrepareOld/New: 4- and 6-way
 # queries on the d=32 C3(8,173) release), and projecting 8- to
 # 16-attribute sources through per-call index slices against the
@@ -118,4 +126,4 @@ audit:
 	$(GO) run ./cmd/priview build -in $$tmp/data.txt -eps 1.0 -snapshot -out $$tmp/syn.json && \
 	$(GO) run ./cmd/priview audit $$tmp/syn.json
 
-check: build vet lint race chaos chaos-registry chaos-overload fuzz-short audit
+check: build vet fmt lint race chaos chaos-registry chaos-overload fuzz-short audit

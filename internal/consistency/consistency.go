@@ -105,7 +105,7 @@ func applyEstimate(view, est, proj *marginal.Table) {
 // (marginal.New) and, with typed errors, at the core.Config and
 // dataset input boundaries — not here.
 func Overall(views []*marginal.Table) {
-	overall(views, false)
+	NewPlan(views).Run(views, false)
 }
 
 // OverallWeighted is Overall with inverse-variance averaging at each
@@ -113,32 +113,76 @@ func Overall(views []*marginal.Table) {
 // when all views have the same size, strictly lower-variance when a
 // design mixes block sizes.
 func OverallWeighted(views []*marginal.Table) {
-	overall(views, true)
+	NewPlan(views).Run(views, true)
 }
 
-func overall(views []*marginal.Table, weighted bool) {
-	if len(views) < 2 {
-		return
-	}
-	viewMasks := make([]attrset.Set, len(views))
+// Plan is the schedule of mutual-consistency steps Overall runs over a
+// collection of views: each set of the intersection closure, in
+// processing order, with the views that contain it. It depends only on
+// the views' attribute sets, so a caller that reconciles the same views
+// several times (consistency, Ripple, consistency again) builds the
+// closure once.
+type Plan struct {
+	masks []attrset.Set
+	steps []planStep
+	// members holds each step's view indices back to back, in view
+	// order.
+	members []int
+}
+
+type planStep struct {
+	attrs  []int
+	lo, hi int // the views containing attrs are members[lo:hi]
+}
+
+// NewPlan returns the Overall schedule for views' attribute sets.
+func NewPlan(views []*marginal.Table) *Plan {
+	p := &Plan{masks: make([]attrset.Set, len(views))}
 	for i, v := range views {
-		viewMasks[i] = v.Mask()
+		p.masks[i] = v.Mask()
 	}
-	sets := attrset.IntersectionClosure(viewMasks)
-	group := make([]*marginal.Table, 0, len(views))
-	for _, mask := range sets {
-		group = group[:0]
-		for i, vm := range viewMasks {
+	if len(views) < 2 {
+		return p
+	}
+	for _, mask := range attrset.IntersectionClosure(p.masks) {
+		lo := len(p.members)
+		for i, vm := range p.masks {
 			if mask.Subset(vm) {
-				group = append(group, views[i])
+				p.members = append(p.members, i)
 			}
 		}
-		if len(group) >= 2 {
-			if weighted {
-				MutualOnSetWeighted(group, mask.Attrs(), VarianceWeights(group))
-			} else {
-				MutualOnSet(group, mask.Attrs())
-			}
+		if len(p.members)-lo >= 2 {
+			p.steps = append(p.steps, planStep{attrs: mask.Attrs(), lo: lo, hi: len(p.members)})
+		} else {
+			p.members = p.members[:lo]
+		}
+	}
+	return p
+}
+
+// Run makes views mutually consistent by the plan's schedule, with
+// inverse-variance weights when weighted (OverallWeighted) and uniform
+// ones otherwise (Overall). views must have the attribute sets, in
+// order, that the plan was built from.
+func (p *Plan) Run(views []*marginal.Table, weighted bool) {
+	if len(views) != len(p.masks) {
+		panic("consistency: views do not match the plan")
+	}
+	for i, v := range views {
+		if v.Mask() != p.masks[i] {
+			panic("consistency: views do not match the plan")
+		}
+	}
+	group := make([]*marginal.Table, 0, len(views))
+	for _, st := range p.steps {
+		group = group[:0]
+		for _, i := range p.members[st.lo:st.hi] {
+			group = append(group, views[i])
+		}
+		if weighted {
+			MutualOnSetWeighted(group, st.attrs, VarianceWeights(group))
+		} else {
+			MutualOnSet(group, st.attrs)
 		}
 	}
 }

@@ -281,18 +281,17 @@ func (s *Synopsis) postprocess() {
 	if s.cfg.SkipPostprocess {
 		return
 	}
-	reconcile := consistency.Overall
-	if s.cfg.WeightedConsistency {
-		reconcile = consistency.OverallWeighted
-	}
-	reconcile(s.views)
+	// Non-negativity changes cells, never attribute sets, so every
+	// consistency pass shares one intersection closure.
+	plan := consistency.NewPlan(s.views)
+	plan.Run(s.views, s.cfg.WeightedConsistency)
 	for round := 0; round < s.cfg.nonnegRounds(); round++ {
 		if s.cfg.Nonneg != consistency.NonnegNone {
 			for _, v := range s.views {
 				consistency.Apply(s.cfg.Nonneg, v, s.cfg.rippleTheta())
 			}
 		}
-		reconcile(s.views)
+		plan.Run(s.views, s.cfg.WeightedConsistency)
 	}
 	s.total = clampTotal(meanTotal(s.views))
 }

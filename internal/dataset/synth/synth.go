@@ -8,6 +8,7 @@ package synth
 import (
 	"math/bits"
 
+	"priview/internal/attrset"
 	"priview/internal/dataset"
 	"priview/internal/noise"
 )
@@ -41,20 +42,22 @@ func Kosarak(n int, seed int64) *dataset.Dataset {
 		{1, 14, 15}, {16, 17, 18, 19, 20}, {21, 22, 23}, {24, 25, 26, 27},
 		{28, 29, 30, 31}, {5, 9, 13, 17}, {0, 16, 24, 28},
 	}
+	clusterSets := make([]attrset.Set, len(clusters))
+	for i, c := range clusters {
+		clusterSets[i] = attrset.MustFromAttrs(c)
+	}
 	records := make([]uint64, n)
 	for r := 0; r < n; r++ {
 		var rec uint64
 		// Each user activates 1-3 clusters.
 		nc := 1 + rng.Intn(3)
-		boost := make(map[int]bool, 8)
+		var boost attrset.Set // pages in an activated cluster
 		for c := 0; c < nc; c++ {
-			for _, p := range clusters[rng.Intn(len(clusters))] {
-				boost[p] = true
-			}
+			boost = boost.Union(clusterSets[rng.Intn(len(clusterSets))])
 		}
 		for i := 0; i < d; i++ {
 			p := base[i]
-			if boost[i] {
+			if boost.Contains(i) {
 				p = 0.7 + 0.25*p
 			}
 			if rng.Float64() < p {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"testing"
+
+	"priview/internal/noise"
 )
 
 func TestKosarakShape(t *testing.T) {
@@ -149,5 +151,55 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical data")
+	}
+}
+
+// kosarakMap is Kosarak as it was written with a map of boosted pages
+// per record; the bitmask version must draw the same numbers in the
+// same order and so build the same records.
+func kosarakMap(n int, seed int64) []uint64 {
+	const d = 32
+	rng := noise.NewStream(seed).Derive("kosarak")
+	base := make([]float64, d)
+	for i := 0; i < d; i++ {
+		base[i] = 0.5 / float64(i+2)
+	}
+	clusters := [][]int{
+		{0, 1, 2, 3}, {2, 3, 4, 5, 6}, {7, 8, 9}, {10, 11, 12, 13},
+		{1, 14, 15}, {16, 17, 18, 19, 20}, {21, 22, 23}, {24, 25, 26, 27},
+		{28, 29, 30, 31}, {5, 9, 13, 17}, {0, 16, 24, 28},
+	}
+	records := make([]uint64, n)
+	for r := 0; r < n; r++ {
+		var rec uint64
+		nc := 1 + rng.Intn(3)
+		boost := make(map[int]bool, 8)
+		for c := 0; c < nc; c++ {
+			for _, p := range clusters[rng.Intn(len(clusters))] {
+				boost[p] = true
+			}
+		}
+		for i := 0; i < d; i++ {
+			p := base[i]
+			if boost[i] {
+				p = 0.7 + 0.25*p
+			}
+			if rng.Float64() < p {
+				rec |= 1 << uint(i)
+			}
+		}
+		records[r] = rec
+	}
+	return records
+}
+
+func TestKosarakMatchesMapVersion(t *testing.T) {
+	for _, seed := range []int64{0, 1, 2, 17} {
+		got, want := Kosarak(5000, seed).Records(), kosarakMap(5000, seed)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: record %d = %#x, want %#x", seed, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -141,8 +141,8 @@ func TestLazyLoadSingleflight(t *testing.T) {
 			_, errs[i] = lease.QueryMethodContext(context.Background(), []int{0, 1}, core.CME)
 		}(i)
 	}
-	<-started       // one leader is inside the loader
-	close(unblock)  // let it finish; waiters share the result
+	<-started      // one leader is inside the loader
+	close(unblock) // let it finish; waiters share the result
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
